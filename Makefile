@@ -71,10 +71,9 @@ bench-router:
 	$(GO) run ./cmd/insightalign-router bench \
 		| $(GO) run ./cmd/benchjson -router -o BENCH_router.json
 
-# Regenerate BENCH_retrieve.json: cached vs uncached serving latency
-# under a Zipf-skewed hot-key mix (hit ratio, p50/p99 split, hot-swap
-# staleness check) plus the online tuner's warm-start QoR-at-iteration-k
-# deltas, stamped by cmd/benchjson -retrieve.
+# Regenerate BENCH_retrieve.json: response-cache vs decoder-path serving
+# latency under a Zipf-skewed hot-key mix (hit ratio, p50/p99 split) and
+# the hot-swap staleness check, stamped by cmd/benchjson -retrieve.
 bench-retrieve:
 	$(GO) run ./cmd/insightalign-serve bench-retrieve \
 		| $(GO) run ./cmd/benchjson -retrieve -o BENCH_retrieve.json

@@ -15,15 +15,14 @@
 //	insightalign-serve serve   -model model.bin [-addr :8080] [-watch ckpts/ -poll 2s]
 //	                           [-queue 256] [-max-batch 32] [-window 2ms]
 //	                           [-timeout 10s] [-no-batch] [-seed 1]
-//	                           [-cache] [-cache-size 4096] [-warm-seeds 4]
-//	                           [-retrieve-journal run.jsonl]
+//	                           [-cache] [-cache-size 4096]
 //	                           [-profile-ring=false] [-profile-dir DIR]
 //	                           [-slo-journal slo.jsonl]
 //	insightalign-serve loadgen -url http://127.0.0.1:8080 [-clients 8]
 //	                           [-requests 200] [-k 5] [-seed 1]
 //	                           [-designs 64] [-zipf 0]
 //	insightalign-serve bench-retrieve [-requests 600] [-clients 8]
-//	                           [-designs 32] [-zipf 1.5] [-iters 6] [-seed 1]
+//	                           [-designs 32] [-zipf 1.5] [-seed 1]
 //	insightalign-serve bench-obs [-requests 600] [-clients 8] [-designs 32]
 //	                           [-k 5] [-seed 1] [-micro-iters 50000]
 //
@@ -31,14 +30,12 @@
 // served — useful for smoke tests and load benchmarks. With -watch, the
 // newest checkpoint in the directory is hot-swapped in whenever it
 // changes, so online fine-tuning output rolls into serving without
-// downtime. -cache turns on the insight-fingerprint response cache and
-// the similarity outcome store (beam warm-starting); -retrieve-journal
-// pre-populates the store by replaying an online-tuner run journal.
+// downtime. -cache turns on the insight-fingerprint response cache.
 // loadgen prints a JSON latency/throughput summary to stdout; -zipf > 1
 // skews its design mix toward a hot working set. bench-retrieve is the
 // measurement behind `make bench-retrieve`: the cached-vs-uncached
-// serving benchmark plus the tuner warm-start QoR-at-iteration-k deltas,
-// as one JSON report on stdout. bench-obs is the measurement behind
+// serving benchmark with its hot-swap staleness check, as one JSON
+// report on stdout. bench-obs is the measurement behind
 // `make bench-obs`: the instrumented-vs-baseline observability overhead
 // benchmark (exemplars + SLO accounting on vs off), as a JSON report on
 // stdout for benchjson -obs.
@@ -60,7 +57,6 @@ import (
 	"insightalign/internal/lifecycle"
 	"insightalign/internal/obs"
 	"insightalign/internal/obs/slo"
-	"insightalign/internal/online"
 	"insightalign/internal/retrieve"
 	"insightalign/internal/serve"
 )
@@ -104,10 +100,8 @@ func cmdServe(args []string) error {
 	batches := fs.Int("concurrent-batches", 2, "decoder calls in flight at once")
 	noBatch := fs.Bool("no-batch", false, "disable micro-batching (per-request decode)")
 	seed := fs.Int64("seed", 1, "seed for the fresh model when -model is empty")
-	cache := fs.Bool("cache", false, "enable the insight-fingerprint response cache + similarity outcome store")
+	cache := fs.Bool("cache", false, "enable the insight-fingerprint response cache")
 	cacheSize := fs.Int("cache-size", retrieve.DefaultCacheSize, "response-cache capacity (entries)")
-	warmSeeds := fs.Int("warm-seeds", 4, "retrieved recipe sets seeding each decode (with -cache or -retrieve-journal)")
-	retrieveJournal := fs.String("retrieve-journal", "", "online-tuner run journal to replay into the outcome store at boot")
 	noBreaker := fs.Bool("no-breaker", false, "disable the backend circuit breaker")
 	brkWindow := fs.Int("breaker-window", 16, "sliding window of backend outcomes")
 	brkMin := fs.Int("breaker-min-samples", 8, "outcomes required before the breaker can trip")
@@ -151,21 +145,8 @@ func cmdServe(args []string) error {
 		HalfOpenProbes: *brkProbes,
 	}
 	cfg.Logger = logger
-	cfg.WarmSeeds = *warmSeeds
 	if *cache {
 		cfg.Cache = retrieve.NewCache(*cacheSize)
-		cfg.Store = retrieve.NewStore()
-	}
-	if *retrieveJournal != "" {
-		if cfg.Store == nil {
-			cfg.Store = retrieve.NewStore()
-		}
-		n, err := retrieve.ReplayJournalFile(cfg.Store, *retrieveJournal)
-		if err != nil {
-			return fmt.Errorf("replay retrieve journal: %w", err)
-		}
-		logger.Info("retrieval store replayed", "path", *retrieveJournal,
-			"outcomes", n, "designs", cfg.Store.Designs())
 	}
 	if *sloJournal != "" {
 		j, err := obs.NewJournal(*sloJournal)
@@ -351,18 +332,15 @@ func cmdLoadgen(args []string) error {
 
 // cmdBenchRetrieve is the measurement behind `make bench-retrieve`: the
 // serving-side cached-vs-uncached benchmark (Zipf hot-key mix, hot-swap
-// staleness check) plus the tuner-side warm-start QoR-at-iteration-k
-// deltas, emitted as one JSON report on stdout for benchjson -retrieve.
+// staleness check), emitted as one JSON report on stdout for benchjson
+// -retrieve.
 func cmdBenchRetrieve(args []string) error {
 	fs := flag.NewFlagSet("bench-retrieve", flag.ExitOnError)
 	clients := fs.Int("clients", 0, "concurrent clients (0: default)")
 	requests := fs.Int("requests", 0, "requests per phase (0: default)")
 	designs := fs.Int("designs", 0, "distinct-design pool size (0: default)")
 	zipf := fs.Float64("zipf", 1.5, "Zipf skew exponent for the design mix")
-	iters := fs.Int("iters", 6, "online-tuning iterations per warm-start campaign")
-	pairs := fs.Int("pairs", 8, "independent (donor, target) design pairs averaged by the warm-start bench")
 	seed := fs.Int64("seed", 1, "benchmark seed")
-	skipTuner := fs.Bool("skip-tuner", false, "skip the warm-start tuning campaigns (cache phases only)")
 	fs.Parse(args)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -381,24 +359,14 @@ func cmdBenchRetrieve(args []string) error {
 	opt.ZipfS = *zipf
 	opt.Seed = *seed
 
-	report := struct {
-		Cache     serve.CacheBenchResult       `json:"cache"`
-		WarmStart *online.WarmStartBenchResult `json:"warm_start,omitempty"`
-	}{}
-	var err error
 	fmt.Fprintln(os.Stderr, "bench-retrieve: cache phases...")
-	report.Cache, err = serve.RunCacheBench(ctx, opt)
+	res, err := serve.RunCacheBench(ctx, opt)
 	if err != nil {
 		return err
 	}
-	if !*skipTuner {
-		fmt.Fprintln(os.Stderr, "bench-retrieve: warm-start campaigns...")
-		ws, err := online.WarmStartBench(*iters, *pairs, *seed)
-		if err != nil {
-			return err
-		}
-		report.WarmStart = &ws
-	}
+	report := struct {
+		Cache serve.CacheBenchResult `json:"cache"`
+	}{res}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(report)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -389,21 +388,11 @@ func (d *Decoder) BeamSearch(k int) []Candidate {
 // forkSlots maps the nb surviving children of step t onto cache slots:
 // inherited where possible, copied (rows [0, t]) where a parent split.
 func (d *Decoder) forkSlots(s *fastSession, b, nb, t int) {
-	d.forkSlotsReserve(s, b, nb, t, nil)
-}
-
-// forkSlotsReserve is forkSlots with a reserved-slot list the free-slot
-// scan must never hand out — the seed lanes of a warm-started search keep
-// their cache slots pinned for the whole decode.
-func (d *Decoder) forkSlotsReserve(s *fastSession, b, nb, t int, reserved []int) {
 	for p := 0; p < b; p++ {
 		s.firstTaker[p] = -1
 	}
 	for i := range s.slotUsed {
 		s.slotUsed[i] = false
-	}
-	for _, r := range reserved {
-		s.slotUsed[r] = true
 	}
 	for i := 0; i < nb; i++ {
 		p := s.histParent[t*s.capB+i]
@@ -439,167 +428,6 @@ func (d *Decoder) forkSlotsReserve(s *fastSession, b, nb, t int, reserved []int)
 		s.newSlot[i] = free
 	}
 	copy(s.slot[:nb], s.newSlot[:nb])
-}
-
-// maxSeedBeams caps the seed lanes of one warm-started search. Retrieval
-// only ever supplies a handful of neighbor sets, and the cap bounds the
-// extra kernel width (k + S lanes per step) a hostile or misconfigured
-// caller could request.
-const maxSeedBeams = 8
-
-// dedupeSeeds drops duplicate seed sets (keeping first occurrence) and
-// truncates to maxSeedBeams. Duplicate lanes would roll out identical
-// sequences — pure waste — and the merge step dedupes anyway.
-func dedupeSeeds(seeds []recipe.Set) []recipe.Set {
-	if len(seeds) == 0 {
-		return nil
-	}
-	out := make([]recipe.Set, 0, len(seeds))
-	seen := make(map[recipe.Set]bool, len(seeds))
-	for _, st := range seeds {
-		if seen[st] {
-			continue
-		}
-		seen[st] = true
-		out = append(out, st)
-		if len(out) == maxSeedBeams {
-			break
-		}
-	}
-	return out
-}
-
-// BeamSearchSeeded is BeamSearch warm-started from retrieved recipe sets:
-// each seed rides the stacked kernel passes as a forced-rollout lane next
-// to the cold beams (scoring seeds[j] exactly as the model would — the
-// lane's accumulated log-probability equals Model.LogProb of that set),
-// and the final candidates are the best k of cold ∪ seeds by
-// log-probability, deduplicated, ties favoring the cold search. Seeds can
-// therefore only improve the result, never perturb it: with no seeds the
-// call IS BeamSearch, bit for bit, and the k-th cold candidate is only
-// ever displaced by a seed that outscores it.
-func (d *Decoder) BeamSearchSeeded(k int, seeds []recipe.Set) []Candidate {
-	seeds = dedupeSeeds(seeds)
-	if len(seeds) == 0 {
-		return d.BeamSearch(k)
-	}
-	if k < 1 {
-		k = 1
-	}
-	coreMetrics()
-	sessionStart := time.Now()
-	defer func() {
-		beamSessionSecs.Observe(time.Since(sessionStart).Seconds())
-		beamSessions.Inc()
-	}()
-	n := d.m.Cfg.NumRecipes
-	S := len(seeds)
-	s := d.m.getSession(k + S)
-	defer d.m.putSession(s)
-
-	// Seed lanes keep authoritative state outside the session's beam
-	// arrays (which the cold search overwrites each step) and pin the top
-	// cache slots, which forkSlotsReserve keeps away from the cold forks.
-	seedScore := make([]float64, S)
-	seedLast := make([]int, S)
-	seedSeq := make([][]int, S)
-	seedSlots := make([]int, S)
-	for j := range seedSlots {
-		seedSlots[j] = 2*s.capB - 1 - j
-		seedSeq[j] = make([]int, n)
-	}
-
-	b := 1
-	s.slot[0] = 0
-	s.score[0] = 0
-	for t := 0; t < n; t++ {
-		// Stage seed lanes after the b cold beams and advance all b+S
-		// sequences in one stacked pass.
-		for j := 0; j < S; j++ {
-			s.lastBit[b+j] = seedLast[j]
-			s.slot[b+j] = seedSlots[j]
-		}
-		d.stepFast(s, b+S, t)
-		for j := 0; j < S; j++ {
-			z := s.z[b+j]
-			bit := 0
-			if seeds[j][t] {
-				bit = 1
-				seedScore[j] += logSigmoid(z)
-			} else {
-				seedScore[j] += logSigmoid(-z)
-			}
-			seedSeq[j][t] = bit
-			seedLast[j] = bit
-		}
-		// The cold beams proceed exactly as in BeamSearch — identical
-		// candidate order, stable sort, parent-pointer history.
-		nc := 0
-		for i := 0; i < b; i++ {
-			z := s.z[i]
-			s.cand[nc] = fastCand{score: s.score[i] + logSigmoid(z), parent: i, bit: 1}
-			s.cand[nc+1] = fastCand{score: s.score[i] + logSigmoid(-z), parent: i, bit: 0}
-			nc += 2
-		}
-		cands := s.cand[:nc]
-		sortCandsStable(cands)
-		nb := k
-		if nc < nb {
-			nb = nc
-		}
-		for i := 0; i < nb; i++ {
-			s.histParent[t*s.capB+i] = cands[i].parent
-			s.histBits[t*s.capB+i] = cands[i].bit
-			s.newScore[i] = cands[i].score
-			s.newLastBit[i] = cands[i].bit
-		}
-		if t < n-1 {
-			d.forkSlotsReserve(s, b, nb, t, seedSlots)
-		}
-		copy(s.score[:nb], s.newScore[:nb])
-		copy(s.lastBit[:nb], s.newLastBit[:nb])
-		b = nb
-	}
-
-	// Materialize cold candidates (the BeamSearch backtrack), append the
-	// seed rollouts, and keep the best k distinct sets. The stable sort
-	// breaks exact ties toward the cold search, so a seed that merely
-	// equals a cold candidate changes nothing.
-	all := make([]Candidate, 0, b+S)
-	for i := 0; i < b; i++ {
-		seq := make([]int, n)
-		bi := i
-		for t := n - 1; t >= 0; t-- {
-			seq[t] = s.histBits[t*s.capB+bi]
-			bi = s.histParent[t*s.capB+bi]
-		}
-		set, err := recipe.FromBits(padBits(seq, recipe.N))
-		if err != nil {
-			continue
-		}
-		all = append(all, Candidate{Set: set, LogProb: s.score[i], Sequence: seq})
-	}
-	for j := 0; j < S; j++ {
-		set, err := recipe.FromBits(padBits(seedSeq[j], recipe.N))
-		if err != nil {
-			continue
-		}
-		all = append(all, Candidate{Set: set, LogProb: seedScore[j], Sequence: seedSeq[j]})
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].LogProb > all[j].LogProb })
-	out := make([]Candidate, 0, k)
-	dup := make(map[recipe.Set]bool, k)
-	for _, c := range all {
-		if dup[c.Set] {
-			continue
-		}
-		dup[c.Set] = true
-		out = append(out, c)
-		if len(out) == k {
-			break
-		}
-	}
-	return out
 }
 
 // Sample draws one sequence from the policy at temperature tau, advancing a
@@ -692,23 +520,12 @@ func (m *Model) BeamSearchBatch(ivs [][]float64, k int) [][]Candidate {
 // BeamSearchBatchK is BeamSearchBatch with a per-query beam width: query i
 // decodes with width ks[i]. This is the shape the serving micro-batcher
 // needs, where coalesced requests may each ask for a different K. ks must
-// be the same length as ivs.
+// be the same length as ivs. Queries are drained from a channel by a fixed
+// pool of NumCPU workers, so a large zero-shot sweep starts len(ivs) tasks
+// but only ever NumCPU goroutines.
 func (m *Model) BeamSearchBatchK(ivs [][]float64, ks []int) [][]Candidate {
-	return m.BeamSearchBatchWarm(ivs, ks, nil)
-}
-
-// BeamSearchBatchWarm is BeamSearchBatchK with optional per-query warm
-// starts: query i additionally rolls out seeds[i] as forced lanes
-// (BeamSearchSeeded). seeds may be nil — or hold nil/empty entries — for
-// queries decoding cold; a nil seeds makes this exactly BeamSearchBatchK.
-// Queries are drained from a channel by a fixed pool of NumCPU workers,
-// so a large sweep starts len(ivs) tasks but only ever NumCPU goroutines.
-func (m *Model) BeamSearchBatchWarm(ivs [][]float64, ks []int, seeds [][]recipe.Set) [][]Candidate {
 	if len(ks) != len(ivs) {
 		panic(fmt.Sprintf("core: %d beam widths for %d queries", len(ks), len(ivs)))
-	}
-	if seeds != nil && len(seeds) != len(ivs) {
-		panic(fmt.Sprintf("core: %d seed lists for %d queries", len(seeds), len(ivs)))
 	}
 	out := make([][]Candidate, len(ivs))
 	workers := runtime.NumCPU()
@@ -725,12 +542,7 @@ func (m *Model) BeamSearchBatchWarm(ivs [][]float64, ks []int, seeds [][]recipe.
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				dec := m.NewDecoder(ivs[i])
-				if seeds == nil || len(seeds[i]) == 0 {
-					out[i] = dec.BeamSearch(ks[i])
-				} else {
-					out[i] = dec.BeamSearchSeeded(ks[i], seeds[i])
-				}
+				out[i] = m.NewDecoder(ivs[i]).BeamSearch(ks[i])
 			}
 		}()
 	}

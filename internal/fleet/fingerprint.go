@@ -2,8 +2,8 @@
 // router that fans /v1/recommend traffic out over N replica backends
 // (each one an internal/serve process) using a consistent-hash ring keyed
 // on the insight vector's fingerprint, so repeated queries for the same
-// design land on the same replica (cache/retrieval affinity — the
-// substrate the CROP-style retrieval cache needs). Around that core the
+// design land on the same replica (cache affinity — each replica's
+// response cache only helps the designs routed to it). Around that core the
 // router keeps per-replica health from /healthz polling plus observed
 // outcomes feeding a per-replica circuit breaker (serve.Breaker), hedges
 // slow requests against a second replica after a latency-percentile

@@ -623,17 +623,28 @@ func TestE2EMirroredShadow(t *testing.T) {
 	}
 	// Shadow decodes are off the response path: these live requests are
 	// answered by the live model while the worker scores the mirror copies.
+	// Each request is sent only once the worker has scored every earlier
+	// mirror copy, so the shadow gate cannot pass while a request is in
+	// flight ahead of its routing decision (the server mirrors a request
+	// after routing it): the state read before each send is the state
+	// that request is routed under.
 	rng := rand.New(rand.NewSource(701))
 	dim := reg.Config().InsightDim
 	liveVersion := reg.Version()
 	deadline := time.Now().Add(10 * time.Second)
-	for ctl.State() == StateShadow {
+	for sent := 0; ctl.State() == StateShadow; sent++ {
 		if time.Now().After(deadline) {
 			t.Fatalf("shadow gate never resolved (stats %+v)", lifecycleStatus(t, env.ts.URL).Shadow)
 		}
 		o := sendRec(t, env.ts.URL, randVec(rng, dim))
 		if o.code != http.StatusOK || o.version != liveVersion {
-			t.Fatalf("shadow-phase response: code=%d version=%q, want live %q", o.code, o.version, liveVersion)
+			t.Fatalf("shadow-phase response %d: code=%d version=%q, want live %q", sent, o.code, o.version, liveVersion)
+		}
+		for ctl.State() == StateShadow && ctl.Snapshot().Shadow.Samples <= sent {
+			if time.Now().After(deadline) {
+				t.Fatalf("shadow worker never scored request %d (stats %+v)", sent, ctl.Snapshot().Shadow)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 	if got := ctl.State(); got != StateCanary {

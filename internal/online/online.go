@@ -21,7 +21,6 @@ import (
 	"insightalign/internal/obs"
 	"insightalign/internal/qor"
 	"insightalign/internal/recipe"
-	"insightalign/internal/retrieve"
 	"insightalign/internal/tensor"
 )
 
@@ -72,20 +71,9 @@ type Options struct {
 	FlowRetries int
 	// FlowBackoff overrides the retry backoff base (default 10ms).
 	FlowBackoff time.Duration
-	// Retrieve, if non-nil, warm-starts the campaign from the retrieval
-	// store (CROP-style): the first iteration proposes neighbors' best
-	// recipe sets directly, every beam exploitation runs seeded with them
-	// (core.Decoder.BeamSearchSeeded), and each successful evaluation
-	// feeds back into the store so concurrent and future campaigns
-	// benefit. A nil store keeps proposals bit-identical to the cold
-	// tuner.
-	Retrieve *retrieve.Store
-	// WarmStartK bounds how many neighbor sets seed each proposal round
-	// (0 = K).
-	WarmStartK int
-	// ModelVersion stamps outcomes fed into Retrieve and the journal, so
-	// serve-side invalidation can tell score-proxy entries from
-	// flow-measured ones. Optional.
+	// ModelVersion stamps the journal's iteration records and the
+	// TunerCheckpoint with the serving version the campaign tuned from.
+	// Optional.
 	ModelVersion string
 	// Design names the design this campaign tunes for. It rides along in
 	// checkpoint journal metadata (CheckpointEvent) so the promotion
@@ -178,10 +166,9 @@ type IterationJournalEntry struct {
 	MeanLoss  float64   `json:"mean_loss"`
 	Failures  int       `json:"failures,omitempty"`
 	Recovered bool      `json:"recovered,omitempty"`
-	// Insight is the proposal-time insight vector, the retrieval key that
-	// lets retrieve.ReplayEntries rebuild the outcome store from the
-	// journal alone. ModelVersion stamps the outcomes for version-scoped
-	// invalidation.
+	// Insight is the proposal-time insight vector, the key that lets the
+	// lifecycle shadow gate re-score the iteration's outcomes from the
+	// journal alone. ModelVersion names the model that proposed them.
 	Insight      []float64 `json:"insight,omitempty"`
 	ModelVersion string    `json:"model_version,omitempty"`
 }
@@ -283,60 +270,18 @@ func (t *Tuner) SeedHistory(evals []Evaluation) {
 // incremental decoding session serves both: the insight memory and the
 // cross-attention K/V are projected once per iteration and shared by the
 // beam search and every exploration sample.
-//
-// With a retrieval store configured, proposals warm-start from similar
-// designs: the first iteration spends its exploitation slots on the
-// neighbors' best sets directly (their QoR on a similar design is a
-// stronger signal than a cold model's score), and every iteration's beam
-// search carries the unseen neighbor sets as forced seed lanes. With a
-// nil store — or an empty one returning no seeds — the proposal stream
-// is unchanged bit for bit.
 func (t *Tuner) propose() []core.Candidate {
 	iv := t.insight.Slice()
 	nExplore := int(float64(t.opt.K)*t.opt.ExploreFrac + 0.5)
 	nBeam := t.opt.K - nExplore
 
-	// Retrieval seeds are a warm START, not a standing bias: they apply
-	// only while the tuner has no evaluations of its own. Once records
-	// exist, the tuner's own model and history carry more signal about
-	// *this* design than a neighbor's leftover mid-tier sets, and
-	// re-seeding every iteration was measured (WarmStartBench) to crowd
-	// model-guided exploration out of the proposal list.
-	var seeds []recipe.Set
-	if t.opt.Retrieve != nil && len(t.records) == 0 {
-		warmK := t.opt.WarmStartK
-		if warmK <= 0 {
-			warmK = t.opt.K
-		}
-		for _, s := range t.opt.Retrieve.BestSets(iv, warmK+len(t.seen), -1) {
-			if !t.seen[s] {
-				seeds = append(seeds, s)
-			}
-			if len(seeds) == warmK {
-				break
-			}
-		}
-	}
-
 	dec := t.model.NewDecoder(iv)
 	var out []core.Candidate
-	if len(t.records) == 0 {
-		for _, s := range seeds {
-			if len(out) >= nBeam {
-				break
-			}
-			if containsSet(out, s) {
-				continue
-			}
-			lp := t.model.LogProb(iv, s.Bits()).Item()
-			out = append(out, core.Candidate{Set: s, LogProb: lp, Sequence: s.Bits()})
-		}
-	}
-	for _, c := range dec.BeamSearchSeeded(t.opt.K*2, seeds) {
+	for _, c := range dec.BeamSearch(t.opt.K * 2) {
 		if len(out) >= nBeam {
 			break
 		}
-		if !t.seen[c.Set] && !containsSet(out, c.Set) {
+		if !t.seen[c.Set] {
 			out = append(out, c)
 		}
 	}
@@ -377,8 +322,8 @@ func (t *Tuner) Iterate() (IterationRecord, error) {
 	iterSpan.SetAttr("iteration", strconv.Itoa(iter))
 	defer iterSpan.End()
 
-	// The proposal-time insight is the retrieval key for this iteration's
-	// outcomes — captured before the post-update refresh mutates t.insight.
+	// The proposal-time insight keys this iteration's journal record —
+	// captured before the post-update refresh mutates t.insight.
 	proposalIV := t.insight.Slice()
 	_, propSpan := obs.StartSpan(ctx, "propose")
 	proposals := t.propose()
@@ -409,12 +354,6 @@ func (t *Tuner) Iterate() (IterationRecord, error) {
 				t.history = append(t.history, e)
 				t.seen[e.Set] = true
 				rec.Evaluations = append(rec.Evaluations, e)
-				if t.opt.Retrieve != nil {
-					// Live feed: this outcome becomes retrievable by similar
-					// designs (and by this campaign's own later iterations)
-					// immediately, not only after a journal replay.
-					t.opt.Retrieve.Add(proposalIV, e.Set, e.QoR, t.opt.ModelVersion)
-				}
 				continue
 			}
 			err = fmt.Errorf("online: %w: non-finite QoR score", flow.ErrCorruptQoR)

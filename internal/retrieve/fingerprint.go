@@ -1,14 +1,8 @@
-// Package retrieve is the CROP-style insight-similarity retrieval layer:
-// a concurrency-safe store of (normalized insight vector, recipe set, QoR,
-// model version) outcomes with nearest-neighbor lookup, plus a
-// version-stamped response cache for the serving tier. The store is fed
-// three ways — replayed from an obs run journal on disk, updated live by
-// the online tuner after every flow evaluation, and (for the response
-// cache) by the serving layer after every decode — and consumed three
-// ways: hot designs skip the decoder through the response cache, beam
-// search warm-starts from neighbors' best recipe sets
-// (core.Decoder.BeamSearchSeeded), and the online tuner draws its initial
-// proposals from similar designs instead of cold search.
+// Package retrieve keys the serving tier's response cache: a stable
+// 64-bit fingerprint of an insight vector (also the fleet router's
+// consistent-hash key), a cache key that folds in the beam width, and a
+// version-stamped LRU cache, so a hot design skips the decoder and a
+// model hot-swap can never serve a stale answer.
 package retrieve
 
 import "math"
@@ -89,18 +83,11 @@ func CacheKey(fp uint64, beamWidth int) uint64 {
 }
 
 // FiniteVector reports whether every component is a finite number, the
-// gate callers must apply before using a vector as a retrieval or cache
-// key: Fingerprint is total, but its overflow sentinels alias distinct
-// vectors (1e300 and +Inf share a bucket), which is fine for routing and
-// fatal for a response cache.
-func FiniteVector(iv []float64) bool { return finiteVector(iv) }
-
-// finiteVector reports whether every component is a finite number. Vectors
-// with NaN/±Inf components are routable (Fingerprint is total) but must
-// never participate in similarity retrieval or response caching: NaN has
-// no meaningful neighborhood, and the sentinel buckets would alias
-// unrelated malformed designs.
-func finiteVector(iv []float64) bool {
+// gate callers must apply before using a vector as a cache key:
+// Fingerprint is total, but its overflow sentinels alias distinct vectors
+// (1e300 and +Inf share a bucket), which is fine for routing and fatal
+// for a response cache.
+func FiniteVector(iv []float64) bool {
 	for _, v := range iv {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return false

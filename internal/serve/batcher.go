@@ -10,8 +10,6 @@ import (
 
 	"insightalign/internal/core"
 	"insightalign/internal/obs"
-	"insightalign/internal/recipe"
-	"insightalign/internal/retrieve"
 )
 
 // Admission / batching errors, mapped to HTTP codes by the handlers.
@@ -81,16 +79,11 @@ type Batcher struct {
 	// fault-injection seam): an error fails the whole coalesced batch
 	// with ErrBackend, a blocking hook simulates a hung backend and is
 	// bounded by the first live request's deadline.
-	hook func(ctx context.Context) error
-	// store, if non-nil, warm-starts every coalesced decode with the
-	// queries' nearest stored neighbors and is fed each decode's top
-	// candidate (log-prob score proxy, stamped with the model version).
-	store     *retrieve.Store
-	warmSeeds int
-	queue     chan *batchRequest
-	window    time.Duration
-	maxBatch  int
-	execSem   chan struct{} // bounds concurrently executing batches
+	hook     func(ctx context.Context) error
+	queue    chan *batchRequest
+	window   time.Duration
+	maxBatch int
+	execSem  chan struct{} // bounds concurrently executing batches
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -289,18 +282,7 @@ func (b *Batcher) run(batch []*batchRequest) {
 		spans[i].SetAttr("batch_size", size)
 		spans[i].SetAttr("model_version", snap.Version)
 	}
-	// With a retrieval store, each query's decode is seeded with its
-	// nearest neighbors' best sets; an empty or absent store yields nil
-	// seeds, which BeamSearchBatchWarm guarantees is bit-identical to the
-	// cold BeamSearchBatchK path.
-	var seeds [][]recipe.Set
-	if b.store != nil && b.store.Len() > 0 {
-		seeds = make([][]recipe.Set, len(live))
-		for i := range live {
-			seeds[i] = b.store.BestSets(ivs[i], b.warmSeeds, 0)
-		}
-	}
-	outs := snap.Model.BeamSearchBatchWarm(ivs, ks, seeds)
+	outs := snap.Model.BeamSearchBatchK(ivs, ks)
 	for _, sp := range spans {
 		sp.End()
 	}
@@ -311,13 +293,6 @@ func (b *Batcher) run(batch []*batchRequest) {
 		for i := range live {
 			if len(outs[i]) > 0 {
 				b.met.ObserveQoR(snap.Version, outs[i][0].LogProb)
-			}
-		}
-	}
-	if b.store != nil {
-		for i := range live {
-			if len(outs[i]) > 0 {
-				b.store.Add(ivs[i], outs[i][0].Set, outs[i][0].LogProb, snap.Version)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"insightalign/internal/core"
 	"insightalign/internal/obs"
 	"insightalign/internal/retrieve"
 )
@@ -17,7 +19,6 @@ import (
 func cacheConfig() Config {
 	cfg := e2eConfig()
 	cfg.Cache = retrieve.NewCache(retrieve.DefaultCacheSize)
-	cfg.Store = retrieve.NewStore()
 	cfg.Metrics = obs.NewRegistry() // isolated, so counter assertions are exact
 	return cfg
 }
@@ -35,14 +36,38 @@ func recommendOnce(t *testing.T, url string, iv []float64, k int) RecommendRespo
 	return rr
 }
 
+// assertColdDecode fails unless a cache miss returned exactly
+// core.Model.BeamSearch of its insight: the same sets in the same order
+// with bit-equal log-probs.
+func assertColdDecode(t *testing.T, got RecommendResponse, ref *core.Model, iv []float64, k int) {
+	t.Helper()
+	if got.Cached {
+		t.Fatal("expected a cache miss, got a cached response")
+	}
+	want := ref.BeamSearch(iv, k)
+	if len(got.Candidates) != len(want) {
+		t.Fatalf("%d candidates, want %d", len(got.Candidates), len(want))
+	}
+	for i, c := range got.Candidates {
+		if c.Recipes != want[i].Set.String() || math.Float64bits(c.LogProb) != math.Float64bits(want[i].LogProb) {
+			t.Fatalf("candidate %d: %s (%v), want %s (%v)", i, c.Recipes, c.LogProb, want[i].Set.String(), want[i].LogProb)
+		}
+	}
+}
+
 // TestServeCacheHitPath is the serving-tier E2E for the retrieval cache:
-// the first request for a design decodes (and its candidates match cold
-// BeamSearch, since the store is empty), the repeat is answered from the
-// cache with identical candidates and no decoder call, a different beam
-// width misses (the width is part of the key), and the hit/miss metrics
-// land in the isolated registry.
+// a miss decodes exactly as cold BeamSearch does — even after a run of
+// neighbouring insights has been served, so an answer never depends on
+// traffic history — the repeat is answered from the cache with identical
+// candidates and no decoder call, a different beam width misses (the
+// width is part of the key), and the hit/miss metrics land in the
+// isolated registry.
 func TestServeCacheHitPath(t *testing.T) {
 	cfg := cacheConfig()
+	// Paper-sized model: over 40 recipes the K-beam is not exact, so any
+	// answer that leaked from earlier traffic could outscore a cold
+	// candidate and would show up below.
+	cfg.Model = core.DefaultConfig()
 	ts, s, ref, _ := newTestServer(t, cfg)
 
 	rng := rand.New(rand.NewSource(41))
@@ -51,19 +76,17 @@ func TestServeCacheHitPath(t *testing.T) {
 		iv[j] = rng.NormFloat64()
 	}
 
-	first := recommendOnce(t, ts.URL, iv, 5)
-	if first.Cached {
-		t.Fatal("first request reported cached")
-	}
-	want := ref.BeamSearch(iv, 5)
-	if len(first.Candidates) != len(want) {
-		t.Fatalf("%d candidates, want %d", len(first.Candidates), len(want))
-	}
-	for i, c := range first.Candidates {
-		if c.Recipes != want[i].Set.String() {
-			t.Fatalf("candidate %d: %s, want %s (empty store must decode cold)", i, c.Recipes, want[i].Set.String())
+	const neighbours = 8
+	for n := 0; n < neighbours; n++ {
+		nb := make([]float64, len(iv))
+		for j := range nb {
+			nb[j] = iv[j] + 0.1*rng.NormFloat64()
 		}
+		assertColdDecode(t, recommendOnce(t, ts.URL, nb, 5), ref, nb, 5)
 	}
+
+	first := recommendOnce(t, ts.URL, iv, 5)
+	assertColdDecode(t, first, ref, iv, 5)
 
 	second := recommendOnce(t, ts.URL, iv, 5)
 	if !second.Cached {
@@ -83,9 +106,8 @@ func TestServeCacheHitPath(t *testing.T) {
 	}
 
 	// A different beam width is a different key.
-	if third := recommendOnce(t, ts.URL, iv, 3); third.Cached {
-		t.Fatal("different beam width must not hit the k=5 entry")
-	}
+	assertColdDecode(t, recommendOnce(t, ts.URL, iv, 3), ref, iv, 3)
+	assertColdDecode(t, recommendOnce(t, ts.URL, iv, 1), ref, iv, 1)
 
 	// Non-finite vectors bypass the cache (sentinel aliasing). JSON can't
 	// carry ±Inf so this is exercised through the in-process entry point.
@@ -104,17 +126,12 @@ func TestServeCacheHitPath(t *testing.T) {
 	exp := s.Metrics().Exposition()
 	for _, wantLine := range []string{
 		`insightalign_serve_cache_requests_total{result="hit"} 1`,
-		`insightalign_serve_cache_requests_total{result="miss"} 2`,
+		fmt.Sprintf(`insightalign_serve_cache_requests_total{result="miss"} %d`, neighbours+3),
 		`insightalign_serve_cache_requests_total{result="bypass"} 2`,
 	} {
 		if !strings.Contains(exp, wantLine) {
 			t.Fatalf("metrics exposition missing %q", wantLine)
 		}
-	}
-
-	// The decode fed the outcome store.
-	if cfg.Store.Len() == 0 {
-		t.Fatal("serve decodes did not feed the retrieval store")
 	}
 }
 
@@ -141,9 +158,6 @@ func TestServeCacheReloadNoStale(t *testing.T) {
 			t.Fatalf("pre-reload repeat: cached=%v version=%s, want cached under %s", r.Cached, r.ModelVersion, oldVersion)
 		}
 	}
-	if cfg.Store.Len() == 0 {
-		t.Fatal("store empty before reload")
-	}
 
 	resp, body := postJSON(t, ts.URL+"/v1/models/reload", ReloadRequest{Path: path})
 	if resp.StatusCode != http.StatusOK {
@@ -152,14 +166,6 @@ func TestServeCacheReloadNoStale(t *testing.T) {
 	newVersion := s.Registry().Version()
 	if newVersion == oldVersion {
 		t.Fatalf("reload kept version %s", oldVersion)
-	}
-	// The old version's serve-fed score proxies are gone from the store.
-	for _, d := range cfg.Store.Dump() {
-		for _, o := range d.Outcomes {
-			if o.ModelVersion == oldVersion {
-				t.Fatalf("store still holds an outcome from replaced version %s", oldVersion)
-			}
-		}
 	}
 
 	for _, iv := range ivs {

@@ -86,11 +86,6 @@ type CacheBenchResult struct {
 	PostReloadVersion string        `json:"post_reload_version"`
 	PostReload        LoadGenResult `json:"post_reload"`
 	StaleAfterReload  int           `json:"stale_after_reload"`
-
-	// Store occupancy after both phases (the serve-fed outcome store that
-	// warm-starts cold decodes).
-	StoreDesigns  int `json:"store_designs"`
-	StoreOutcomes int `json:"store_outcomes"`
 }
 
 // RunCacheBench boots an in-process cache-enabled server over a fresh
@@ -150,7 +145,6 @@ func RunCacheBench(ctx context.Context, opt CacheBenchOptions) (CacheBenchResult
 	cfg.Addr = "127.0.0.1:0"
 	cfg.Model = mcfg
 	cfg.Cache = retrieve.NewCache(retrieve.DefaultCacheSize)
-	cfg.Store = retrieve.NewStore()
 	cfg.DefaultBeamWidth = opt.BeamWidth
 	cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	srv, err := New(cfg, reg)
@@ -201,8 +195,7 @@ func RunCacheBench(ctx context.Context, opt CacheBenchOptions) (CacheBenchResult
 		res.SpeedupP99 = res.UncachedP99MS / res.CachedP99MS
 	}
 
-	// Hot swap through the HTTP handler (which also drops the old
-	// version's serve-fed store entries), then replay the exact same
+	// Hot swap through the HTTP handler, then replay the exact same
 	// workload expecting the new version on every response.
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/models/reload", strings.NewReader(""))
 	if err != nil {
@@ -228,8 +221,5 @@ func RunCacheBench(ctx context.Context, opt CacheBenchOptions) (CacheBenchResult
 		return res, fmt.Errorf("cache bench post-reload phase: %w", err)
 	}
 	res.StaleAfterReload = res.PostReload.StaleResponses
-
-	res.StoreDesigns = cfg.Store.Designs()
-	res.StoreOutcomes = cfg.Store.Len()
 	return res, nil
 }

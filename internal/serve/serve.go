@@ -32,7 +32,6 @@ import (
 	"insightalign/internal/core"
 	"insightalign/internal/obs"
 	"insightalign/internal/obs/slo"
-	"insightalign/internal/qor"
 	"insightalign/internal/recipe"
 	"insightalign/internal/retrieve"
 )
@@ -78,17 +77,6 @@ type Config struct {
 	// hot-swap invalidates them implicitly — a stale response is
 	// structurally impossible, not merely evicted on a timer.
 	Cache *retrieve.Cache
-	// Store, if non-nil, is the insight-similarity outcome store: every
-	// decode is warm-started with the best recipe sets of the query's
-	// nearest stored neighbors (core BeamSearchSeeded), and each decode's
-	// top candidate is fed back in with its log-probability as a
-	// score-proxy QoR, stamped with the model version. Deployments can
-	// pre-populate it from an online-tuner run journal
-	// (retrieve.ReplayJournalFile) to transfer real flow-measured QoR.
-	Store *retrieve.Store
-	// WarmSeeds caps how many retrieved recipe sets seed each decode when
-	// Store is set (default 4).
-	WarmSeeds int
 	// Logger receives structured request logs; nil means slog.Default().
 	Logger *slog.Logger
 	// Metrics is the registry the server's metric families bind into;
@@ -137,7 +125,7 @@ type CandidateRouter interface {
 	// with this insight fingerprint, or nil for the live model. The
 	// assignment is deterministic per fingerprint and sticky for the
 	// candidate's whole canary, so repeat queries land on the same arm
-	// and the retrieval cache stays coherent.
+	// and the response cache stays coherent.
 	Route(fp uint64) *Snapshot
 	// CandidateHook is the candidate-decode fault seam (nil: healthy) —
 	// the lifecycle test harness injects 502s and latency here without
@@ -184,8 +172,6 @@ type Server struct {
 	tracer *obs.Tracer
 	log    *slog.Logger
 
-	warmK int // resolved Config.WarmSeeds
-
 	httpSrv  *http.Server
 	ln       net.Listener
 	shutOnce sync.Once
@@ -215,20 +201,15 @@ func New(cfg Config, reg *Registry) (*Server, error) {
 	if cfg.Tracer == nil {
 		cfg.Tracer = obs.DefaultTracer()
 	}
-	if cfg.WarmSeeds < 1 {
-		cfg.WarmSeeds = 4
-	}
 	if cfg.SLO == nil && !cfg.DisableSLO {
 		cfg.SLO = slo.New(slo.Config{})
 	}
 	s := &Server{cfg: cfg, reg: reg, slo: cfg.SLO, prof: cfg.Profiler,
-		tracer: cfg.Tracer, log: cfg.Logger, warmK: cfg.WarmSeeds}
+		tracer: cfg.Tracer, log: cfg.Logger}
 	s.bat = NewBatcher(reg, nil, cfg.QueueDepth, cfg.MaxBatch, cfg.MaxConcurrentBatches, cfg.BatchWindow)
 	s.met = NewMetrics(cfg.Metrics, s.bat.Depth, reg.Version)
 	s.bat.met = s.met
 	s.bat.hook = cfg.BackendHook
-	s.bat.store = cfg.Store
-	s.bat.warmSeeds = cfg.WarmSeeds
 	if !cfg.Breaker.Disabled {
 		s.brk = NewBreaker(cfg.Breaker, func(from, to BreakerState) {
 			s.met.ObserveBreakerTransition(from, to)
@@ -318,33 +299,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 type RecommendRequest struct {
 	// Insight is the 72-dim design insight vector (Table I order).
 	Insight []float64 `json:"insight"`
-	// Intention optionally declares the QoR objective the caller is
-	// optimizing for. It is validated and echoed back; the served model
-	// was aligned offline for its training intention, so a mismatch is
-	// the caller's signal to retrain, not a per-request switch.
-	Intention *IntentionSpec `json:"intention,omitempty"`
 	// BeamWidth is the number of recipe sets to return (default 5).
 	BeamWidth int `json:"beam_width,omitempty"`
-}
-
-// IntentionSpec mirrors qor.Intention in JSON.
-type IntentionSpec struct {
-	Terms []IntentionTermSpec `json:"terms"`
-}
-
-// IntentionTermSpec is one weighted metric.
-type IntentionTermSpec struct {
-	Metric   string  `json:"metric"`
-	Weight   float64 `json:"weight"`
-	Maximize bool    `json:"maximize,omitempty"`
-}
-
-func (sp *IntentionSpec) toQoR() qor.Intention {
-	in := qor.Intention{}
-	for _, t := range sp.Terms {
-		in.Terms = append(in.Terms, qor.Term{Metric: t.Metric, Weight: t.Weight, Maximize: t.Maximize})
-	}
-	return in
 }
 
 // CandidateJSON is one recommended recipe set.
@@ -545,12 +501,15 @@ func (s *Server) recommend(ctx context.Context, req *RecommendRequest) (Recommen
 	// the candidate — a hit stamped with the live version would silently
 	// mask the candidate and starve the verdict engine of samples.
 	// Non-finite vectors never route (their fingerprint sentinels alias
-	// distinct inputs, which would break sticky assignment).
+	// distinct inputs, which would break sticky assignment). The mirror
+	// comes after the routing decision, so a request's own shadow sample
+	// can never pass the shadow gate ahead of it and send it to the
+	// canary: a request routed during shadow is always answered live.
 	if lc := s.cfg.Canary; lc != nil && retrieve.FiniteVector(req.Insight) {
-		lc.Mirror(req.Insight, k)
 		if cand := lc.Route(retrieve.Fingerprint(req.Insight)); cand != nil {
 			return s.recommendCandidate(ctx, req, cand, k)
 		}
+		lc.Mirror(req.Insight, k)
 	}
 	startAt := time.Now()
 	var key uint64
@@ -581,12 +540,8 @@ func (s *Server) recommend(ctx context.Context, req *RecommendRequest) (Recommen
 		} else {
 			_, sp := obs.StartSpan(ctx, "decoder_session")
 			sp.SetAttr("batch_size", "1")
-			var seeds []recipe.Set
-			if s.cfg.Store != nil {
-				seeds = s.cfg.Store.BestSets(req.Insight, s.warmK, 0)
-			}
 			res = batchResult{
-				cands:     snap.Model.NewDecoder(req.Insight).BeamSearchSeeded(k, seeds),
+				cands:     snap.Model.NewDecoder(req.Insight).BeamSearch(k),
 				version:   snap.Version,
 				batchSize: 1,
 			}
@@ -594,9 +549,6 @@ func (s *Server) recommend(ctx context.Context, req *RecommendRequest) (Recommen
 			s.met.ObserveBatch(1)
 			if len(res.cands) > 0 {
 				s.met.ObserveQoR(snap.Version, res.cands[0].LogProb)
-			}
-			if s.cfg.Store != nil && len(res.cands) > 0 {
-				s.cfg.Store.Add(req.Insight, res.cands[0].Set, res.cands[0].LogProb, snap.Version)
 			}
 		}
 	} else {
@@ -783,7 +735,7 @@ func (s *Server) recordBatchOutcome(adm Admission, errs []error, results []Recom
 	s.brk.Release(adm)
 }
 
-// validate checks one request's insight width, beam width, and intention.
+// validate checks one request's insight width and beam width.
 // Returns "" when valid.
 func (s *Server) validate(req *RecommendRequest) string {
 	if len(req.Insight) != s.cfg.Model.InsightDim {
@@ -791,11 +743,6 @@ func (s *Server) validate(req *RecommendRequest) string {
 	}
 	if req.BeamWidth < 0 {
 		return fmt.Sprintf("beam_width %d is negative", req.BeamWidth)
-	}
-	if req.Intention != nil {
-		if err := req.Intention.toQoR().Validate(); err != nil {
-			return fmt.Sprintf("intention: %v", err)
-		}
 	}
 	return ""
 }
@@ -825,17 +772,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			"trace_id", obs.TraceIDFrom(r.Context()))
 		s.writeError(w, r, http.StatusInternalServerError, err.Error())
 		return
-	}
-	// The response cache self-invalidates (entries are version-stamped and
-	// checked on Get), but the outcome store's serve-fed entries carry
-	// log-prob score proxies from the replaced weights — drop them so warm
-	// starts stop preferring the old model's opinions. Journal-replayed
-	// tuner outcomes carry their own version strings and real flow QoR, so
-	// they survive.
-	if s.cfg.Store != nil && prev != "" && prev != snap.Version {
-		if n := s.cfg.Store.Invalidate(prev); n > 0 {
-			s.log.Info("retrieval store invalidated", "version", prev, "outcomes", n)
-		}
 	}
 	// Retire the outgoing version's observability state: its per-version
 	// metric series leave the registry (bounded label cardinality across
