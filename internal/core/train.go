@@ -160,13 +160,22 @@ func buildPairs(points []dataset.Point, maxPerDesign int, minGap float64, rng *r
 	var pairs []pair
 	for _, name := range order {
 		pts := byDesign[name]
+		// Each point's model inputs are built once and shared read-only by
+		// every pair it joins: LogProb copies the insight and only reads the
+		// bits.
+		insights := make([][]float64, len(pts))
+		bits := make([][]int, len(pts))
+		for i, p := range pts {
+			insights[i] = p.Insight.Slice()
+			bits[i] = p.Set.Bits()
+		}
 		var all []pair
 		for i := 0; i < len(pts); i++ {
 			for j := i + 1; j < len(pts); j++ {
 				gap := pts[i].QoR - pts[j].QoR
-				w, l := pts[i], pts[j]
+				w, l := i, j
 				if gap < 0 {
-					w, l, gap = pts[j], pts[i], -gap
+					w, l, gap = j, i, -gap
 				}
 				// A zero-gap pair carries no preference: with MinQoRGap=0 it
 				// would label a "winner" by point order, injecting a
@@ -176,9 +185,9 @@ func buildPairs(points []dataset.Point, maxPerDesign int, minGap float64, rng *r
 					continue
 				}
 				all = append(all, pair{
-					insight: w.Insight.Slice(),
-					winBits: w.Set.Bits(),
-					losBits: l.Set.Bits(),
+					insight: insights[w],
+					winBits: bits[w],
+					losBits: bits[l],
 					gap:     gap,
 				})
 			}

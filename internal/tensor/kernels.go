@@ -1,32 +1,35 @@
 package tensor
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
-// Tape-free flat kernels for the inference fast path.
+// Tape-free flat kernels: the one loop set behind both inference and
+// training.
 //
 // These operate directly on raw []float64 buffers with explicit shapes —
 // no *Tensor wrappers, no parents slices, no backward closures, and no
-// dependence on the process-global NoGrad counter. They exist so a decode
-// session can run entirely on preallocated contiguous memory (one
-// Data-plus-shape layout, the Tensor-Go style) while the tape-based ops
-// keep serving the training path untouched.
+// dependence on the process-global NoGrad counter. A decode session runs
+// entirely on them over preallocated contiguous memory (one Data-plus-shape
+// layout, the Tensor-Go style), and the tape's MatMul runs its forward and
+// both backward directions on MatMulInto, MatMulGradAInto and
+// MatMulGradBInto, so training and inference share the SIMD axpy kernels.
 //
 // Equivalence contract: every kernel reproduces the floating-point
-// operations of its tape counterpart element for element — the same
+// operations of its scalar tape counterpart element for element — the same
 // accumulation order, the same zero-skips, and the same intermediate
 // rounding points (separate passes where the tape path ran separate ops).
-// TestKernelsMatchTapeOps holds each kernel bit-exact against the op it
-// mirrors, and the core decoding equivalence suite rests on this.
+// TestKernelsMatchTapeOps holds each inference kernel bit-exact against the
+// op it mirrors, TestTapeMatMulMatchesScalarReference holds the tape's
+// MatMul in all three directions against the original scalar loops, and
+// the core decoding equivalence suite and trained-parameter pins rest on
+// this.
 
 // MatMulInto computes dst = a·b for a of shape (m, k) and b of shape
-// (k, n), overwriting dst (length m·n). It mirrors Tensor.MatMul: per
-// output element the products accumulate in ascending-p order with zero
-// a-elements skipped, so the result is bit-identical to the tape op. The
-// k dimension runs four rows of b at a time through the axpy4 kernel
-// (SIMD on amd64 — lanes are independent output elements, and the four
-// row adds stay in ascending order per element, so the rounding schedule
-// is unchanged); any zero among the four falls back to per-row axpy1
-// calls that preserve the skip.
+// (k, n), overwriting dst (length m·n). It mirrors Tensor.MatMul's scalar
+// schedule: per output element the products accumulate in ascending-p
+// order with zero a-elements skipped.
 func MatMulInto(dst, a []float64, m, k int, b []float64, n int) {
 	dst = dst[:m*n]
 	if n == 1 {
@@ -40,6 +43,17 @@ func MatMulInto(dst, a []float64, m, k int, b []float64, n int) {
 	for i := range dst {
 		dst[i] = 0
 	}
+	matMulAcc(dst, a, m, k, b, n)
+}
+
+// matMulAcc accumulates dst += a·b for a of shape (m, k) and b of shape
+// (k, n), adding the products straight into dst in ascending-p order per
+// element with zero a-elements skipped. The k dimension runs four rows of
+// b at a time through the axpy4 kernel (SIMD on amd64 — lanes are
+// independent output elements, and the four row adds stay in ascending
+// order per element, so the rounding schedule is unchanged); any zero
+// among the four falls back to per-row axpy1 calls that preserve the skip.
+func matMulAcc(dst, a []float64, m, k int, b []float64, n int) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		orow := dst[i*n : (i+1)*n]
@@ -60,6 +74,73 @@ func MatMulInto(dst, a []float64, m, k int, b []float64, n int) {
 			if av := arow[p]; av != 0 {
 				axpy1(orow, b[p*n:p*n+n], av)
 			}
+		}
+	}
+}
+
+// MatMulGradAInto accumulates da += dc·bᵀ for dc of shape (m, n), b of
+// shape (k, n) and da of shape (m, k) — the a-gradient of Tensor.MatMul.
+// The scalar schedule computes each element as a sequential ascending-j
+// dot product from zero, with no zero skip, and then adds it into da once.
+// Here the SIMD lanes hold different p instead: against bᵀ (n, k), row i
+// of the product is Σ_j dc[i][j]·bᵀ[j], run four j at a time through axpy4
+// into a zeroed row — per element the same adds in the same order — and
+// the row is then added into da.
+func MatMulGradAInto(da, dc []float64, m, n int, b []float64, k int) {
+	sp := getScratch(k * (n + 1))
+	defer kernelScratch.Put(sp)
+	acc, bt := (*sp)[:k], (*sp)[k:]
+	transposeInto(bt, b, k, n)
+	for i := 0; i < m; i++ {
+		for p := range acc {
+			acc[p] = 0
+		}
+		grow := dc[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			axpy4(acc, bt[j*k:], k, grow[j:j+4])
+		}
+		for ; j < n; j++ {
+			axpy1(acc, bt[j*k:(j+1)*k], grow[j])
+		}
+		addTo(da[i*k:(i+1)*k], acc)
+	}
+}
+
+// MatMulGradBInto accumulates db += aᵀ·dc for a of shape (m, k), dc of
+// shape (m, n) and db of shape (k, n) — the b-gradient of Tensor.MatMul.
+// The scalar schedule adds the products straight into db in ascending-i
+// order per element, skipping zero a-elements: exactly matMulAcc over aᵀ,
+// whose rows are the columns of a, so each axpy4 call takes four rows of
+// dc with their coefficients gathered from column p of a.
+func MatMulGradBInto(db, a []float64, m, k int, dc []float64, n int) {
+	sp := getScratch(k * m)
+	defer kernelScratch.Put(sp)
+	transposeInto(*sp, a, m, k)
+	matMulAcc(db, *sp, k, m, dc, n)
+}
+
+// kernelScratch recycles the backward kernels' transposition buffers, so
+// the training backward pass allocates nothing per matmul.
+var kernelScratch = sync.Pool{New: func() any { return new([]float64) }}
+
+// getScratch takes a buffer of length n from kernelScratch.
+func getScratch(n int) *[]float64 {
+	sp := kernelScratch.Get().(*[]float64)
+	if cap(*sp) < n {
+		*sp = make([]float64, n)
+	}
+	*sp = (*sp)[:n]
+	return sp
+}
+
+// transposeInto writes the (cols, rows) transpose of the (rows, cols)
+// matrix src into dst, one contiguous dst row at a time.
+func transposeInto(dst, src []float64, rows, cols int) {
+	for c := 0; c < cols; c++ {
+		d := dst[c*rows : (c+1)*rows]
+		for r := range d {
+			d[r] = src[r*cols+c]
 		}
 	}
 }

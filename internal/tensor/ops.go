@@ -13,56 +13,16 @@ func (a *Tensor) MatMul(b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%d,%d)x(%d,%d)", m, k, k2, n))
 	}
 	out := newResult([]int{m, n}, a, b)
-	ad, bd, od := a.Data, b.Data, out.Data
-	for i := 0; i < m; i++ {
-		arow := ad[i*k : (i+1)*k]
-		orow := od[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := bd[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
+	MatMulInto(out.Data, a.Data, m, k, b.Data, n)
 	if out.requiresGrad {
 		out.backward = func() {
-			og := out.Grad
 			if a.requiresGrad {
 				a.ensureGrad()
-				// dA = dC · Bᵀ
-				for i := 0; i < m; i++ {
-					grow := og[i*n : (i+1)*n]
-					agrow := a.Grad[i*k : (i+1)*k]
-					for p := 0; p < k; p++ {
-						brow := bd[p*n : (p+1)*n]
-						s := 0.0
-						for j := 0; j < n; j++ {
-							s += grow[j] * brow[j]
-						}
-						agrow[p] += s
-					}
-				}
+				MatMulGradAInto(a.Grad, out.Grad, m, n, b.Data, k)
 			}
 			if b.requiresGrad {
 				b.ensureGrad()
-				// dB = Aᵀ · dC
-				for p := 0; p < k; p++ {
-					bgrow := b.Grad[p*n : (p+1)*n]
-					for i := 0; i < m; i++ {
-						av := ad[i*k+p]
-						if av == 0 {
-							continue
-						}
-						grow := og[i*n : (i+1)*n]
-						for j := 0; j < n; j++ {
-							bgrow[j] += av * grow[j]
-						}
-					}
-				}
+				MatMulGradBInto(b.Grad, a.Data, m, k, out.Grad, n)
 			}
 		}
 	}

@@ -8,6 +8,15 @@
 // batching dimension because InsightAlign trains on one preference pair at a
 // time (Algorithm 1 of the paper).
 //
+// # One kernel set
+//
+// The tape's MatMul runs its forward pass and both gradient directions on
+// the flat SIMD kernels of kernels.go (MatMulInto, MatMulGradAInto,
+// MatMulGradBInto), the same kernels the tape-free decoder uses, so
+// training and inference share one loop set. The kernels reproduce the
+// scalar schedule bit for bit; see the equivalence contract in kernels.go.
+// Op outputs allocate their Grad buffer only when Backward reaches them.
+//
 // # Tape isolation and concurrency
 //
 // There is no global tape: the "tape" is the parents/backward graph hanging
@@ -182,6 +191,8 @@ func NoGrad(f func()) {
 }
 
 // newResult constructs an op output whose requiresGrad follows its parents.
+// Its Grad buffer is left nil: every backward closure calls ensureGrad on
+// its parents, so only outputs that Backward actually reaches pay for one.
 func newResult(shape []int, parents ...*Tensor) *Tensor {
 	out := New(shape...)
 	if gradDisabled.Load() > 0 {
@@ -194,7 +205,6 @@ func newResult(shape []int, parents ...*Tensor) *Tensor {
 		}
 	}
 	if out.requiresGrad {
-		out.Grad = make([]float64, len(out.Data))
 		out.parents = parents
 	}
 	return out
