@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race chaos fuzz fuzz-merge bench bench-inference bench-train bench-router bench-retrieve bench-obs serve fleet canary loadtest profile
+.PHONY: check vet build test race flake chaos fuzz fuzz-merge bench bench-inference bench-train bench-router bench-retrieve bench-obs serve fleet canary loadtest profile
 
 check: vet build race
 
@@ -21,6 +21,15 @@ test:
 # package alone can exceed go test's 10-minute default on small machines.
 race:
 	$(GO) test -race -timeout 45m ./...
+
+# Flake gate: the suites that have flaked before — the lifecycle E2E
+# matrix, fleet kill/recovery, serve shutdown under load and the obs trace
+# ring — 20 times at each of GOMAXPROCS 1, 2 and 4. A failure here gets a
+# root-cause fix, never a retry.
+flake:
+	$(GO) test -count 20 -cpu 1,2,4 -timeout 30m \
+		-run 'TestE2E|TestFleetKillRecoveryE2E|TestFleetFaultInjectedBreakerNoLeak|TestGracefulShutdownUnderLoad|TestShutdownDrainsConcurrentLoad|TestTraceRing|TestTraceHandlerGoneVsNotFound|TestLookupMergedAfterPartialEviction' \
+		./internal/lifecycle/ ./internal/fleet/ ./internal/serve/ ./internal/obs/
 
 # Fault-tolerance gate: the deterministic fault-injection property tests,
 # the 50-iteration online chaos campaign, the serve degradation E2E, and
@@ -143,8 +152,7 @@ canary:
 	kill -TERM $$SRV 2>/dev/null; wait $$SRV 2>/dev/null; \
 	echo "canary: verdict trail journaled in $(CANARY_DIR)/lifecycle.jsonl"
 
-# Fire the load generator at a running server (see BENCH_serve.json for
-# the recorded batched-vs-unbatched sweep).
+# Fire the load generator at a running server.
 LOADTEST_URL ?= http://127.0.0.1:8080
 LOADTEST_CLIENTS ?= 8
 LOADTEST_REQUESTS ?= 200

@@ -25,7 +25,7 @@ import (
 // buffers, bypassing *Tensor wrappers, tape construction, and the NoGrad
 // counter entirely. The fast path reproduces the tape path's floating-point
 // operations exactly — see TestCachedBeamSearchMatchesNaive and
-// TestStepFlatMatchesStep — and a warm session performs near-zero heap
+// TestStepFlatMatchesForward — and a warm session performs near-zero heap
 // allocation per decode (guarded by TestDecodeAllocBudget).
 //
 // A Decoder is safe for concurrent use by multiple goroutines as long as

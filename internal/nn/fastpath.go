@@ -16,11 +16,12 @@ import (
 // concurrently with a tape-building training forward in another goroutine
 // — the two paths share only read-only parameter Data.
 //
-// Equivalence contract: StepFlat reproduces DecoderLayer.Step's
-// floating-point operations element for element (the flat kernels mirror
-// each tape op's accumulation order), so fast-path decoding is bit-exact
-// against the KV-cached tape path and, transitively, the naive
-// full-recompute reference. TestStepFlatMatchesStep holds this.
+// Equivalence contract: the output row StepFlat produces for a sequence is
+// bit-identical to the last row of DecoderLayer.Forward over that
+// sequence's full prefix (the flat kernels mirror each tape op's
+// accumulation order, and the tape ops run on those same kernels), so
+// fast-path decoding is bit-exact against the naive full-recompute
+// reference. TestStepFlatMatchesForward holds this.
 
 // FlatLinear aliases a Linear's weight and bias Data.
 type FlatLinear struct {
@@ -92,7 +93,7 @@ func FlattenDecoderLayer(d *DecoderLayer) *FlatDecoderLayer {
 
 // FlatCross is the per-session precomputed cross-attention memory
 // projection of one layer: keys pre-transposed for the q·Kᵀ matmul, values
-// row-major — the flat twin of CrossKV. It is computed once per decode
+// row-major. It is computed once per decode
 // session (one projection per request, not one per step) and shared
 // read-only by every beam and step.
 type FlatCross struct {
@@ -112,7 +113,8 @@ type FlatCross struct {
 }
 
 // PrecomputeCrossFlat projects the (S, Dim) memory through this layer's
-// cross key/value heads, mirroring Attention.PrecomputeCross.
+// cross key/value heads, as Attention.Forward projects its memory; the key
+// transpose is the one Forward takes before its score matmul.
 func (fl *FlatDecoderLayer) PrecomputeCrossFlat(memory []float64, s int) *FlatCross {
 	dim := fl.Dim
 	k := make([]float64, s*dim)
@@ -195,10 +197,10 @@ func NewFlatScratch(maxB, dim, hidden, s, maxLen int) *FlatScratch {
 // entirely on flat buffers: h holds the (B, Dim) input rows and is
 // overwritten with the output rows; kc[b]/vc[b] are sequence b's flat
 // self-attention caches (row r at [r·Dim, (r+1)·Dim)) holding tLen filled
-// rows, which gain row tLen. The floating-point schedule mirrors
-// DecoderLayer.Step: pre-norm self-attention with residual, cross-attention
-// over the precomputed memory projection with residual, then the GELU
-// feed-forward with residual.
+// rows, which gain row tLen. The floating-point schedule mirrors the last
+// row of DecoderLayer.Forward: pre-norm self-attention with residual,
+// cross-attention over the precomputed memory projection with residual,
+// then the GELU feed-forward with residual.
 func (fl *FlatDecoderLayer) StepFlat(h []float64, b int, qkv *FlatQKV, cross *FlatCross, kc, vc [][]float64, tLen int, sc *FlatScratch) {
 	dim := fl.Dim
 	bd := b * dim

@@ -8,11 +8,12 @@ import (
 	"insightalign/internal/tensor"
 )
 
-// TestStepFlatMatchesStep drives the tape-free StepFlat and the tape-based
-// DecoderLayer.Step over the same token stream and demands bit-identical
-// hidden states at every position, for both the S==1 constant-folded
-// cross-attention and the general S>1 path.
-func TestStepFlatMatchesStep(t *testing.T) {
+// TestStepFlatMatchesForward drives the tape-free StepFlat over B
+// independent token streams and demands, at every position, that each
+// sequence's output row be bit-identical to the last row of the tape
+// DecoderLayer.Forward over that sequence's whole prefix — for both the
+// S==1 constant-folded cross-attention and the general S>1 path.
+func TestStepFlatMatchesForward(t *testing.T) {
 	for _, s := range []int{1, 3} {
 		const (
 			dim    = 16
@@ -26,13 +27,6 @@ func TestStepFlatMatchesStep(t *testing.T) {
 		mem := tensor.New(s, dim)
 		for i := range mem.Data {
 			mem.Data[i] = rng.NormFloat64()
-		}
-
-		// Tape path: per-sequence incremental states over a shared cross KV.
-		cross := d.PrecomputeCross(mem)
-		states := make([]*DecoderState, b)
-		for i := range states {
-			states[i] = d.NewState(cross, maxLen)
 		}
 
 		// Flat path: flattened layer, fused QKV, pooled-style scratch and
@@ -52,22 +46,32 @@ func TestStepFlatMatchesStep(t *testing.T) {
 			t.Fatalf("S=%d: cross fold Out presence = %v", s, fc.Out != nil)
 		}
 
+		// prefix[i] accumulates sequence i's input rows for the tape reference.
+		prefix := make([][]float64, b)
 		for step := 0; step < maxLen; step++ {
-			x := tensor.New(b, dim)
-			for i := range x.Data {
-				x.Data[i] = rng.NormFloat64()
+			h := make([]float64, b*dim)
+			for i := range h {
+				h[i] = rng.NormFloat64()
 			}
-			h := append([]float64(nil), x.Data...)
+			for i := range prefix {
+				prefix[i] = append(prefix[i], h[i*dim:(i+1)*dim]...)
+			}
 
-			want := d.Step(x, states)
 			fl.StepFlat(h, b, qkv, fc, kc, vc, step, sc)
 
-			for i := range h {
-				if math.Float64bits(h[i]) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("S=%d step %d: element %d = %x, want %x",
-						s, step, i, math.Float64bits(h[i]), math.Float64bits(want.Data[i]))
+			tensor.NoGrad(func() {
+				for i := range prefix {
+					full := d.Forward(tensor.FromSlice(prefix[i], step+1, dim), mem)
+					want := full.Data[step*dim:]
+					got := h[i*dim : (i+1)*dim]
+					for j := range got {
+						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+							t.Fatalf("S=%d step %d seq %d: element %d = %x, want %x",
+								s, step, i, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+						}
+					}
 				}
-			}
+			})
 		}
 	}
 }

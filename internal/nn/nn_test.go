@@ -289,3 +289,21 @@ func TestCountParamsAndFinite(t *testing.T) {
 		t.Fatal("expected NaN detection")
 	}
 }
+
+// TestCausalMaskCached checks mask content and that the same backing slice
+// is reused across calls.
+func TestCausalMaskCached(t *testing.T) {
+	m1 := causalMask(3, 3)
+	m2 := causalMask(3, 3)
+	if &m1[0] != &m2[0] {
+		t.Fatal("causal mask not reused across calls")
+	}
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			masked := math.IsInf(m1[i*3+j], -1)
+			if masked != (j > i) {
+				t.Fatalf("mask[%d][%d] masked=%v", i, j, masked)
+			}
+		}
+	}
+}

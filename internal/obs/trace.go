@@ -45,6 +45,10 @@ type Tracer struct {
 	// set answers "did this trace exist?", evictedOrder ages it out.
 	evicted      map[string]struct{}
 	evictedOrder []string
+	// evictedTotal counts every ID ever remembered, so a reader can prove
+	// an ID aged out: that takes more than maxEvictedIDs remembered after
+	// it.
+	evictedTotal uint64
 }
 
 // NewTracer creates a tracer retaining up to ringSize completed traces
@@ -293,6 +297,7 @@ func (t *Tracer) rememberEvictedLocked(id string) {
 		return
 	}
 	t.evicted[id] = struct{}{}
+	t.evictedTotal++
 	t.evictedOrder = append(t.evictedOrder, id)
 	if over := len(t.evictedOrder) - maxEvictedIDs; over > 0 {
 		for _, old := range t.evictedOrder[:over] {

@@ -128,7 +128,11 @@ func TestLookupMergedAfterPartialEviction(t *testing.T) {
 
 // TestTraceRingEvictionRace hammers a tiny ring from 16 goroutines that
 // finish traces, join remote records, and read every lookup surface
-// concurrently — the -race guard for the eviction bookkeeping.
+// concurrently — the -race guard for the eviction bookkeeping. A just
+// finished trace must serve 200 (live) or 410 (evicted). 404 is legitimate
+// only once the bounded eviction memory has provably forgotten the ID:
+// more than maxEvictedIDs IDs remembered since before the trace finished,
+// which a goroutine descheduled under churn can see.
 func TestTraceRingEvictionRace(t *testing.T) {
 	tr := NewTracer(8)
 	const goroutines = 16
@@ -139,6 +143,7 @@ func TestTraceRingEvictionRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
+				seq0 := tr.evictedCount()
 				id := finishTrace(tr, fmt.Sprintf("g%d-i%d", g, i))
 				if i%3 == 0 {
 					joinRemote(tr, id, "hop")
@@ -150,6 +155,14 @@ func TestTraceRingEvictionRace(t *testing.T) {
 					tr.Recent(4)
 					rec := httptest.NewRecorder()
 					tr.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces?id="+id, nil))
+					if rec.Code == http.StatusNotFound {
+						since := tr.evictedCount() - seq0
+						if since > maxEvictedIDs {
+							continue // provably aged out of the eviction memory
+						}
+						t.Errorf("goroutine %d iter %d: 404 with only %d IDs evicted since", g, i, since)
+						return
+					}
 					if rec.Code != http.StatusOK && rec.Code != http.StatusGone {
 						t.Errorf("goroutine %d iter %d: status %d", g, i, rec.Code)
 						return
@@ -170,4 +183,11 @@ func TestTraceRingEvictionRace(t *testing.T) {
 	if evicted > maxEvictedIDs || order > maxEvictedIDs {
 		t.Fatalf("eviction memory unbounded: set=%d order=%d cap=%d", evicted, order, maxEvictedIDs)
 	}
+}
+
+// evictedCount reads the tracer's running count of remembered IDs.
+func (t *Tracer) evictedCount() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.evictedTotal
 }

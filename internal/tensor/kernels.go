@@ -12,19 +12,23 @@ import (
 // no *Tensor wrappers, no parents slices, no backward closures, and no
 // dependence on the process-global NoGrad counter. A decode session runs
 // entirely on them over preallocated contiguous memory (one Data-plus-shape
-// layout, the Tensor-Go style), and the tape's MatMul runs its forward and
-// both backward directions on MatMulInto, MatMulGradAInto and
-// MatMulGradBInto, so training and inference share the SIMD axpy kernels.
+// layout, the Tensor-Go style). The tape runs on them as well: MatMul's
+// forward and both backward directions on MatMulInto, MatMulGradAInto and
+// MatMulGradBInto; Add, AddRow, Scale, SoftmaxRows and Transpose on
+// AddInPlace, AddBiasInto, ScaleInPlace, SoftmaxRowsInPlace and
+// transposeInto, with their gradients on addTo and axpy1; LayerNorm on
+// normRow, the row pass of NormAffineInto. Training and inference share
+// one loop set and the SIMD axpy kernels.
 //
 // Equivalence contract: every kernel reproduces the floating-point
 // operations of its scalar tape counterpart element for element — the same
 // accumulation order, the same zero-skips, and the same intermediate
 // rounding points (separate passes where the tape path ran separate ops).
 // TestKernelsMatchTapeOps holds each inference kernel bit-exact against the
-// op it mirrors, TestTapeMatMulMatchesScalarReference holds the tape's
-// MatMul in all three directions against the original scalar loops, and
-// the core decoding equivalence suite and trained-parameter pins rest on
-// this.
+// op it mirrors; TestTapeMatMulMatchesScalarReference and
+// TestTapeOpsMatchScalarReference hold the kernel-backed tape ops, forward
+// and gradients, against the original scalar loops; and the core decoding
+// equivalence suite and trained-parameter pins rest on this.
 
 // MatMulInto computes dst = a·b for a of shape (m, k) and b of shape
 // (k, n), overwriting dst (length m·n). It mirrors Tensor.MatMul's scalar
@@ -147,8 +151,8 @@ func transposeInto(dst, src []float64, rows, cols int) {
 
 // DotSkip returns the q·k dot product accumulated in ascending index
 // order with the q==0 skip — exactly the score dot of CausalAttendInto
-// (and Attention.StepSelf). Exported so precomputed score tables can be
-// built from the identical floating-point schedule.
+// (one element of the tape's q·Kᵀ MatMul). Exported so precomputed score
+// tables can be built from the identical floating-point schedule.
 func DotSkip(q, k []float64) float64 {
 	s := 0.0
 	for p, qv := range q {
@@ -185,25 +189,9 @@ func LinearInto(dst, x []float64, m, k int, w []float64, n int, bias []float64) 
 // Tensor.LayerNorm followed by separate MulRow and AddRow passes, so every
 // intermediate rounds exactly where the tape path rounded.
 func NormAffineInto(dst, x []float64, m, n int, eps float64, gamma, beta []float64) {
-	nf := float64(n)
 	for i := 0; i < m; i++ {
-		row := x[i*n : (i+1)*n]
 		orow := dst[i*n : (i+1)*n]
-		mu := 0.0
-		for _, v := range row {
-			mu += v
-		}
-		mu /= nf
-		va := 0.0
-		for _, v := range row {
-			d := v - mu
-			va += d * d
-		}
-		va /= nf
-		inv := 1 / math.Sqrt(va+eps)
-		for j, v := range row {
-			orow[j] = (v - mu) * inv
-		}
+		normRow(orow, x[i*n:(i+1)*n], eps)
 		for j := range orow {
 			orow[j] *= gamma[j]
 		}
@@ -211,6 +199,29 @@ func NormAffineInto(dst, x []float64, m, n int, eps float64, gamma, beta []float
 			orow[j] += beta[j]
 		}
 	}
+}
+
+// normRow writes the zero-mean, unit-variance normalization of row into
+// dst and returns the inverse standard deviation 1/sqrt(var+eps) — the
+// row pass of Tensor.LayerNorm, whose backward reuses the returned factor.
+func normRow(dst, row []float64, eps float64) float64 {
+	nf := float64(len(row))
+	mu := 0.0
+	for _, v := range row {
+		mu += v
+	}
+	mu /= nf
+	va := 0.0
+	for _, v := range row {
+		d := v - mu
+		va += d * d
+	}
+	va /= nf
+	inv := 1 / math.Sqrt(va+eps)
+	for j, v := range row {
+		dst[j] = (v - mu) * inv
+	}
+	return inv
 }
 
 // GELUInto applies the tanh-approximated GELU of Tensor.GELU elementwise,
@@ -264,16 +275,17 @@ func SoftmaxRowsInPlace(dst []float64, m, n int) {
 // hold the tLen previous rows contiguously (row r at [r*dim, (r+1)*dim)).
 // The new key/value rows are appended at row tLen, the query attends over
 // the tLen+1 filled rows, and the context vector is written to ctx. It
-// mirrors Attention.StepSelf's inner loop exactly: the q·Kᵀ zero-skip dot
-// product, the fused max tracking, the exp/sum softmax, and the w==0 skip
-// in the value accumulation. scores is scratch of length ≥ tLen+1.
+// reproduces the last row of the tape's causal attention (Attention.Forward)
+// exactly: the q·Kᵀ zero-skip dot product of MatMul, the scale, the
+// exp/sum softmax of SoftmaxRows (the last row is unmasked), and the w==0
+// skip of the attn·V MatMul. scores is scratch of length ≥ tLen+1.
 func CausalAttendInto(ctx, q, krow, vrow, kcache, vcache []float64, tLen, dim int, scale float64, scores []float64) {
 	copy(kcache[tLen*dim:(tLen+1)*dim], krow)
 	copy(vcache[tLen*dim:(tLen+1)*dim], vrow)
 	tLen++
 	scores = scores[:tLen]
 	// Score dots. Each dot's accumulation chain is strictly sequential
-	// (p-ascending with the zero-skip, matching StepSelf), so it cannot be
+	// (p-ascending with the zero-skip, matching MatMul), so it cannot be
 	// vectorized without changing the rounding — instead four independent
 	// chains run interleaved for instruction-level parallelism. The max is
 	// exact, so tracking it outside the original loop shape is safe.
@@ -325,9 +337,9 @@ func CausalAttendInto(ctx, q, krow, vrow, kcache, vcache []float64, tLen, dim in
 		ctx[i] = 0
 	}
 	// Weighted value sum: per output element the adds run in ascending-j
-	// order with the w==0 skip, exactly as StepSelf — four cache rows per
-	// axpy4 pass. Normalizing the weights in place first performs the same
-	// single division per weight as the reference's inline e/sum.
+	// order with the w==0 skip, exactly as the attn·V MatMul — four cache
+	// rows per axpy4 pass. The weights are normalized in place first, the
+	// same single division per weight as SoftmaxRows.
 	for j := range scores {
 		scores[j] /= sum
 	}

@@ -35,22 +35,17 @@ func (a *Tensor) Add(b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: Add shape mismatch %v vs %v", a.shape, b.shape))
 	}
 	out := newResult(a.shape, a, b)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
+	copy(out.Data, a.Data)
+	AddInPlace(out.Data, b.Data)
 	if out.requiresGrad {
 		out.backward = func() {
 			if a.requiresGrad {
 				a.ensureGrad()
-				for i, g := range out.Grad {
-					a.Grad[i] += g
-				}
+				addTo(a.Grad, out.Grad)
 			}
 			if b.requiresGrad {
 				b.ensureGrad()
-				for i, g := range out.Grad {
-					b.Grad[i] += g
-				}
+				addTo(b.Grad, out.Grad)
 			}
 		}
 	}
@@ -121,25 +116,20 @@ func (a *Tensor) AddRow(v *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: AddRow shape mismatch (%d,%d) + (%d,%d)", m, n, vr, vc))
 	}
 	out := newResult(a.shape, a, v)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[i*n+j] = a.Data[i*n+j] + v.Data[j]
-		}
-	}
+	copy(out.Data, a.Data)
+	AddBiasInto(out.Data, m, n, v.Data)
 	if out.requiresGrad {
 		out.backward = func() {
 			if a.requiresGrad {
 				a.ensureGrad()
-				for i, g := range out.Grad {
-					a.Grad[i] += g
-				}
+				addTo(a.Grad, out.Grad)
 			}
 			if v.requiresGrad {
+				// One row add per output row, ascending: per element the
+				// same ascending-i accumulation as a column sum.
 				v.ensureGrad()
 				for i := 0; i < m; i++ {
-					for j := 0; j < n; j++ {
-						v.Grad[j] += out.Grad[i*n+j]
-					}
+					addTo(v.Grad, out.Grad[i*n:(i+1)*n])
 				}
 			}
 		}
@@ -186,15 +176,12 @@ func (a *Tensor) MulRow(v *Tensor) *Tensor {
 // Scale multiplies every element by the constant s.
 func (a *Tensor) Scale(s float64) *Tensor {
 	out := newResult(a.shape, a)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] * s
-	}
+	copy(out.Data, a.Data)
+	ScaleInPlace(out.Data, s)
 	if out.requiresGrad {
 		out.backward = func() {
 			a.ensureGrad()
-			for i, g := range out.Grad {
-				a.Grad[i] += g * s
-			}
+			axpy1(a.Grad, out.Grad, s)
 		}
 	}
 	return out
@@ -302,31 +289,11 @@ func (a *Tensor) SoftmaxRows(mask []float64) *Tensor {
 		panic("tensor: SoftmaxRows mask length mismatch")
 	}
 	out := newResult(a.shape, a)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*n : (i+1)*n]
-		orow := out.Data[i*n : (i+1)*n]
-		maxv := math.Inf(-1)
-		for j, x := range row {
-			if mask != nil {
-				x += mask[i*n+j]
-			}
-			if x > maxv {
-				maxv = x
-			}
-		}
-		sum := 0.0
-		for j, x := range row {
-			if mask != nil {
-				x += mask[i*n+j]
-			}
-			e := math.Exp(x - maxv)
-			orow[j] = e
-			sum += e
-		}
-		for j := range orow {
-			orow[j] /= sum
-		}
+	copy(out.Data, a.Data)
+	if mask != nil {
+		addTo(out.Data, mask)
 	}
+	SoftmaxRowsInPlace(out.Data, m, n)
 	if out.requiresGrad {
 		out.backward = func() {
 			a.ensureGrad()
@@ -376,11 +343,7 @@ func (a *Tensor) Mean() *Tensor {
 func (a *Tensor) Transpose() *Tensor {
 	m, n := a.Dims()
 	out := newResult([]int{n, m}, a)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[j*m+i] = a.Data[i*n+j]
-		}
-	}
+	transposeInto(out.Data, a.Data, m, n)
 	if out.requiresGrad {
 		out.backward = func() {
 			a.ensureGrad()
@@ -480,26 +443,9 @@ func ConcatRows(parts ...*Tensor) *Tensor {
 func (a *Tensor) LayerNorm(eps float64) *Tensor {
 	m, n := a.Dims()
 	out := newResult(a.shape, a)
-	means := make([]float64, m)
 	invStds := make([]float64, m)
 	for i := 0; i < m; i++ {
-		row := a.Data[i*n : (i+1)*n]
-		mu := 0.0
-		for _, v := range row {
-			mu += v
-		}
-		mu /= float64(n)
-		va := 0.0
-		for _, v := range row {
-			d := v - mu
-			va += d * d
-		}
-		va /= float64(n)
-		inv := 1 / math.Sqrt(va+eps)
-		means[i], invStds[i] = mu, inv
-		for j, v := range row {
-			out.Data[i*n+j] = (v - mu) * inv
-		}
+		invStds[i] = normRow(out.Data[i*n:(i+1)*n], a.Data[i*n:(i+1)*n], eps)
 	}
 	if out.requiresGrad {
 		out.backward = func() {

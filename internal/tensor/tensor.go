@@ -12,10 +12,16 @@
 //
 // The tape's MatMul runs its forward pass and both gradient directions on
 // the flat SIMD kernels of kernels.go (MatMulInto, MatMulGradAInto,
-// MatMulGradBInto), the same kernels the tape-free decoder uses, so
-// training and inference share one loop set. The kernels reproduce the
-// scalar schedule bit for bit; see the equivalence contract in kernels.go.
-// Op outputs allocate their Grad buffer only when Backward reaches them.
+// MatMulGradBInto), the same kernels the tape-free decoder uses, and so
+// do the elementwise ops that have a flat twin: Add (AddInPlace), AddRow
+// (AddBiasInto), Scale (ScaleInPlace), SoftmaxRows (SoftmaxRowsInPlace),
+// Transpose and LayerNorm (the row pass of NormAffineInto), with their
+// gradients on the same row-add and axpy kernels. Training and inference
+// therefore share one loop set; only ops with no flat twin (Sub, Mul,
+// MulRow, the unary activations, the gathers) keep loops of their own. The
+// kernels reproduce the scalar schedule bit for bit; see the equivalence
+// contract in kernels.go. Op outputs allocate their Grad buffer only when
+// Backward reaches them.
 //
 // # Tape isolation and concurrency
 //
@@ -147,17 +153,6 @@ func (t *Tensor) Clone() *Tensor {
 // Detach returns a view of the same data detached from the tape.
 func (t *Tensor) Detach() *Tensor {
 	return &Tensor{Data: t.Data, shape: t.shape}
-}
-
-// RowView returns row i of a 2-D tensor as a (1, cols) view sharing the
-// backing array, detached from the tape. Used by the incremental decoder to
-// address per-sequence rows of a batched step without copying.
-func (t *Tensor) RowView(i int) *Tensor {
-	m, c := t.Dims()
-	if i < 0 || i >= m {
-		panic(fmt.Sprintf("tensor: RowView %d out of range [0,%d)", i, m))
-	}
-	return &Tensor{Data: t.Data[i*c : (i+1)*c], shape: []int{1, c}}
 }
 
 // ZeroGrad clears the gradient buffer.

@@ -444,3 +444,22 @@ func TestNoGradNested(t *testing.T) {
 		}
 	})
 }
+
+// TestNoGradNests covers the counter semantics: nested and sequential
+// NoGrad blocks leave recording enabled afterwards.
+func TestNoGradNests(t *testing.T) {
+	w := Param(2, 2)
+	NoGrad(func() {
+		NoGrad(func() {
+			if out := w.MatMul(FromSlice([]float64{1, 0, 0, 1}, 2, 2)); out.RequiresGrad() {
+				t.Fatal("grad recorded inside nested NoGrad")
+			}
+		})
+		if out := w.MatMul(FromSlice([]float64{1, 0, 0, 1}, 2, 2)); out.RequiresGrad() {
+			t.Fatal("grad recorded after inner NoGrad exited")
+		}
+	})
+	if out := w.MatMul(FromSlice([]float64{1, 0, 0, 1}, 2, 2)); !out.RequiresGrad() {
+		t.Fatal("grad disabled after NoGrad exited")
+	}
+}
