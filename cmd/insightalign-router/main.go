@@ -1,10 +1,10 @@
 // Command insightalign-router runs the fleet tier: a consistent-hash
 // request router that fans /v1/recommend traffic over N replica backends
 // with cache-affinity routing, bounded-load fallback, per-replica health
-// polling and circuit breaking, hedged requests, and bounded admission
-// with load shedding. (This is the serving fleet router — distinct from
-// internal/router, the EDA global router that routes wires, not
-// requests.) The router's own observability surface is mounted on its
+// polling and circuit breaking, ring-order failover, and bounded
+// admission with load shedding. (This is the serving fleet router —
+// distinct from internal/router, the EDA global router that routes wires,
+// not requests.) The router's own observability surface is mounted on its
 // listener: /metrics, /debug/traces (merged across the router→replica
 // hop), /debug/pprof/, /debug/slo (per-replica and fleet-wide burn-rate
 // verdicts), /debug/fleet (every replica's /metrics merged under
@@ -17,7 +17,6 @@
 //
 //	insightalign-router route -replicas http://h1:8080,http://h2:8080 [-addr :8090]
 //	                          [-max-inflight 32] [-queue 64] [-queue-wait 100ms]
-//	                          [-hedge-quantile 0.95] [-hedge-min-delay 5ms] [-no-hedge]
 //	                          [-health-interval 500ms] [-eject-after 3]
 //	                          [-profile-ring=false] [-profile-dir DIR]
 //	insightalign-router route -spawn 3 [-seed 1] ...
@@ -81,10 +80,6 @@ func cmdRoute(args []string) error {
 	queueWait := fs.Duration("queue-wait", 100*time.Millisecond, "longest wait for an admission slot before shedding")
 	timeout := fs.Duration("timeout", 15*time.Second, "end-to-end routed request deadline")
 	attempts := fs.Int("attempts", 3, "max distinct replicas tried per request (failover budget)")
-	noHedge := fs.Bool("no-hedge", false, "disable hedged requests")
-	hedgeQ := fs.Float64("hedge-quantile", 0.95, "latency percentile that arms the hedge timer")
-	hedgeMin := fs.Duration("hedge-min-delay", 5*time.Millisecond, "floor on the hedge trigger")
-	hedgeMax := fs.Int("hedge-max", 8, "fleet-wide cap on in-flight hedges")
 	healthEvery := fs.Duration("health-interval", 500*time.Millisecond, "/healthz polling period")
 	ejectAfter := fs.Int("eject-after", 3, "consecutive failed polls that eject a replica from the ring")
 	brkWindow := fs.Int("breaker-window", 16, "sliding window of forward outcomes per replica")
@@ -108,10 +103,6 @@ func cmdRoute(args []string) error {
 	cfg.QueueWait = *queueWait
 	cfg.RequestTimeout = *timeout
 	cfg.MaxAttempts = *attempts
-	cfg.DisableHedging = *noHedge
-	cfg.HedgeQuantile = *hedgeQ
-	cfg.HedgeMinDelay = *hedgeMin
-	cfg.HedgeMaxConcurrent = *hedgeMax
 	cfg.HealthInterval = *healthEvery
 	cfg.EjectAfter = *ejectAfter
 	cfg.Breaker = serve.BreakerConfig{

@@ -25,7 +25,7 @@ import (
 //     phases: steady state, one replica killed mid-fleet, then the
 //     replica restarted. The report records tail latency per phase, the
 //     error-class breakdown (did any 5xx leak past failover after the
-//     breaker opened?), hedge/breaker/ring counters, and whether the
+//     breaker opened?), breaker/ring counters, and whether the
 //     router→replica hop showed up in the shared trace ring.
 
 // BenchOptions parameterize RunFleetBench.
@@ -88,9 +88,6 @@ type KillReport struct {
 	// RecoveredP99Ratio is recovered-phase p99 over steady-phase p99; the
 	// acceptance bar is <= 2.
 	RecoveredP99Ratio float64 `json:"recovered_p99_ratio"`
-	// HedgesWon / HedgesLost are the hedge counters over the cycle.
-	HedgesWon  float64 `json:"hedges_won"`
-	HedgesLost float64 `json:"hedges_lost"`
 	// TraceID is a sampled routed request's trace; TraceSpans lists the
 	// merged span names proving the router→replica hop is visible in
 	// /debug/traces.
@@ -166,7 +163,7 @@ func scalingNote() string {
 	if runtime.NumCPU() > 1 {
 		return fmt.Sprintf("Measured with %d CPUs. Replicas are in-process serve.Servers (shared runtime), each bounded to its own MaxConcurrentBatches decoder calls, so throughput scales with replica count while cores remain free.", runtime.NumCPU())
 	}
-	return "Measured on a 1-CPU container, where every replica time-shares one core, so the honest routed-throughput scaling here is ~1x regardless of replica count (the decoder is CPU-bound; adding replicas adds decode capacity only when there are cores to run them). The router mechanics under test — consistent-hash affinity, bounded-load fallback, hedging, breaker failover — are exercised identically; on a machine with >= 4 free cores each replica's MaxConcurrentBatches decoder calls run on their own cores and routed throughput scales near-linearly with replica count the same way the data-parallel trainer does (see BENCH_train.json's 1-CPU note). Re-run `make bench-router` on multi-core hardware to record the scaled numbers."
+	return "Measured on a 1-CPU container, where every replica time-shares one core, so the honest routed-throughput scaling here is ~1x regardless of replica count (the decoder is CPU-bound; adding replicas adds decode capacity only when there are cores to run them). The router mechanics under test — consistent-hash affinity, bounded-load fallback, breaker failover — are exercised identically; on a machine with >= 4 free cores each replica's MaxConcurrentBatches decoder calls run on their own cores and routed throughput scales near-linearly with replica count the same way the data-parallel trainer does (see BENCH_train.json's 1-CPU note). Re-run `make bench-router` on multi-core hardware to record the scaled numbers."
 }
 
 // runScalingPoint boots an n-replica fleet behind a fresh router and
@@ -291,9 +288,6 @@ func runKillCycle(ctx context.Context, opt BenchOptions, log *slog.Logger) (*Kil
 		report.RecoveredP99Ratio = round2(rec.P99MS / steady.P99MS)
 	}
 	report.RingRebalances = rt.Ring().Rebuilds()
-	met := rt.Metrics()
-	report.HedgesWon = counterValue(met, "insightalign_fleet_hedges_total", "won")
-	report.HedgesLost = counterValue(met, "insightalign_fleet_hedges_total", "lost")
 	report.TraceID, report.TraceSpans = sampleCrossHopTrace(tracer)
 	return report, nil
 }

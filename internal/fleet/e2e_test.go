@@ -212,7 +212,6 @@ func TestFleetFaultInjectedBreakerNoLeak(t *testing.T) {
 	cfg.Metrics = obs.NewRegistry()
 	cfg.Tracer = tracer
 	cfg.Logger = testLogger()
-	cfg.DisableHedging = true
 	cfg.Breaker.MinSamples = 4
 	cfg.Breaker.Window = 8
 	cfg.Breaker.Cooldown = 100 * time.Millisecond

@@ -5,12 +5,12 @@
 // design land on the same replica (cache affinity — each replica's
 // response cache only helps the designs routed to it). Around that core the
 // router keeps per-replica health from /healthz polling plus observed
-// outcomes feeding a per-replica circuit breaker (serve.Breaker), hedges
-// slow requests against a second replica after a latency-percentile
-// trigger, bounds per-replica admission with queues that shed 503 +
-// Retry-After when the whole fleet is saturated, and propagates
-// X-Trace-Id across the hop so /debug/traces shows the full
-// router→replica path.
+// outcomes feeding a per-replica circuit breaker (serve.Breaker), sends
+// each request to one replica at a time and fails it over along the ring
+// order when that replica errors, bounds per-replica admission with
+// queues that shed 503 + Retry-After when the whole fleet is saturated,
+// and propagates X-Trace-Id across the hop so /debug/traces shows the
+// full router→replica path.
 //
 // Naming note: internal/router is the EDA global router (bin-capacity
 // rip-up/reroute over placed netlists); this package is the serving

@@ -13,23 +13,21 @@ var routedLatencyBounds = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0
 
 // Metrics bridges the fleet router into an obs.Registry under the
 // insightalign_fleet_* namespace: per-replica in-flight and health
-// gauges, forward outcomes, hedge counters, ring rebalances, breaker
-// transitions, and shed counts. All methods are safe for concurrent use.
+// gauges, forward outcomes, ring rebalances, breaker transitions, and
+// shed counts. All methods are safe for concurrent use.
 type Metrics struct {
 	reg *obs.Registry
 
-	requests  *obs.Counter   // insightalign_fleet_requests_total{route,code}
-	latency   *obs.Histogram // insightalign_fleet_request_duration_seconds{route}
-	forwards  *obs.Counter   // insightalign_fleet_forward_total{replica,outcome}
-	hedges    *obs.Counter   // insightalign_fleet_hedges_total{result}
-	hedgeGate *obs.Gauge     // insightalign_fleet_hedges_inflight
-	shed      *obs.Counter   // insightalign_fleet_shed_total{reason}
-	rebuilds  *obs.Counter   // insightalign_fleet_ring_rebuilds_total
-	up        *obs.Gauge     // insightalign_fleet_replica_up{replica}
-	brkState  *obs.Gauge     // insightalign_fleet_replica_breaker_state{replica}
-	brkTrans  *obs.Counter   // insightalign_fleet_breaker_transitions_total{replica,to}
-	inflight  *obs.Gauge     // insightalign_fleet_replica_inflight{replica}
-	queued    *obs.Gauge     // insightalign_fleet_replica_queued{replica}
+	requests *obs.Counter   // insightalign_fleet_requests_total{route,code}
+	latency  *obs.Histogram // insightalign_fleet_request_duration_seconds{route}
+	forwards *obs.Counter   // insightalign_fleet_forward_total{replica,outcome}
+	shed     *obs.Counter   // insightalign_fleet_shed_total{reason}
+	rebuilds *obs.Counter   // insightalign_fleet_ring_rebuilds_total
+	up       *obs.Gauge     // insightalign_fleet_replica_up{replica}
+	brkState *obs.Gauge     // insightalign_fleet_replica_breaker_state{replica}
+	brkTrans *obs.Counter   // insightalign_fleet_breaker_transitions_total{replica,to}
+	inflight *obs.Gauge     // insightalign_fleet_replica_inflight{replica}
+	queued   *obs.Gauge     // insightalign_fleet_replica_queued{replica}
 }
 
 // NewMetrics binds the fleet metric families in reg (nil: the
@@ -47,11 +45,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		forwards: reg.Counter("insightalign_fleet_forward_total",
 			"Forward attempts by replica and outcome (ok, client_error, saturated, unavailable, backend_error, transport, canceled).",
 			"replica", "outcome"),
-		hedges: reg.Counter("insightalign_fleet_hedges_total",
-			"Hedged requests by result (won: hedge answered first; lost: primary answered first; denied: hedge cap or no spare replica).",
-			"result"),
-		hedgeGate: reg.Gauge("insightalign_fleet_hedges_inflight",
-			"Hedge requests currently in flight."),
 		shed: reg.Counter("insightalign_fleet_shed_total",
 			"Requests shed by the router with 503 + Retry-After, by reason (saturated, breaker_open, no_replicas).", "reason"),
 		rebuilds: reg.Counter("insightalign_fleet_ring_rebuilds_total",
@@ -88,13 +81,6 @@ func (m *Metrics) ObserveRequestEx(route string, code int, d time.Duration, trac
 func (m *Metrics) ObserveForward(replica, outcome string) {
 	m.forwards.Inc(replica, outcome)
 }
-
-// ObserveHedge records a hedge decision ("won", "lost", "denied").
-func (m *Metrics) ObserveHedge(result string) { m.hedges.Inc(result) }
-
-// HedgeStarted / HedgeFinished move the in-flight hedge gauge.
-func (m *Metrics) HedgeStarted()  { m.hedgeGate.Add(1) }
-func (m *Metrics) HedgeFinished() { m.hedgeGate.Add(-1) }
 
 // ObserveShed records one shed request by reason.
 func (m *Metrics) ObserveShed(reason string) { m.shed.Inc(reason) }

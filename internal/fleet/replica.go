@@ -125,7 +125,7 @@ func (r *Replica) record(adm serve.Admission, ok bool) {
 }
 
 // releaseAdmission resolves a breaker admission without a health signal
-// (429s, hedge-loss cancels, slot-wait expiries).
+// (429s, departed-client cancels, slot-wait expiries).
 func (r *Replica) releaseAdmission(adm serve.Admission) {
 	if r.brk != nil {
 		r.brk.Release(adm)

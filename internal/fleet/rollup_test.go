@@ -75,7 +75,6 @@ func TestFleetMetricsRollup(t *testing.T) {
 	dead.srv.Close() // configured but unreachable
 
 	cfg := DefaultConfig()
-	cfg.DisableHedging = true
 	rt := testRouter(t, cfg, a.srv.URL, b.srv.URL, dead.srv.URL)
 
 	rec := httptest.NewRecorder()
@@ -113,7 +112,6 @@ func TestFleetDashboard(t *testing.T) {
 	defer b.srv.Close()
 
 	cfg := DefaultConfig()
-	cfg.DisableHedging = true
 	rt := testRouter(t, cfg, a.srv.URL, b.srv.URL)
 
 	// Route a couple of requests so the SLO table has aggregate and
@@ -155,7 +153,6 @@ func TestFleetSLOScopes(t *testing.T) {
 	defer bad.srv.Close()
 
 	cfg := DefaultConfig()
-	cfg.DisableHedging = true
 	cfg.Breaker.Disabled = true
 	cfg.SLO = slo.New(slo.Config{Objectives: []slo.Objective{{
 		Name: "availability", Kind: slo.Availability, Target: 0.9,

@@ -46,24 +46,9 @@ type Config struct {
 	// (default 15s).
 	RequestTimeout time.Duration
 	// MaxAttempts bounds failover: how many distinct replicas one
-	// request may be sent to, hedges excluded (default 3, clamped to the
+	// request may be sent to, one at a time (default 3, clamped to the
 	// fleet size).
 	MaxAttempts int
-	// DisableHedging turns the hedged-request path off (benchmark
-	// comparison mode).
-	DisableHedging bool
-	// HedgeQuantile is the latency percentile of recent successful
-	// forwards that arms the hedge timer (default 0.95).
-	HedgeQuantile float64
-	// HedgeMinDelay floors the hedge trigger so a cold or very fast
-	// fleet does not hedge every request (default 5ms).
-	HedgeMinDelay time.Duration
-	// HedgeMaxConcurrent caps in-flight hedges fleet-wide; beyond it
-	// hedges are denied, not queued (default 8).
-	HedgeMaxConcurrent int
-	// LatencyWindow is how many recent forward latencies feed the hedge
-	// trigger percentile (default 512).
-	LatencyWindow int
 	// HealthInterval is the /healthz polling period (default 500ms).
 	HealthInterval time.Duration
 	// HealthTimeout bounds one health probe (default: HealthInterval).
@@ -103,20 +88,16 @@ type Config struct {
 // DefaultConfig returns production-leaning routing defaults.
 func DefaultConfig() Config {
 	return Config{
-		Addr:               ":8090",
-		VNodesPerReplica:   64,
-		LoadFactor:         1.25,
-		MaxInflight:        32,
-		QueueDepth:         64,
-		QueueWait:          100 * time.Millisecond,
-		RequestTimeout:     15 * time.Second,
-		MaxAttempts:        3,
-		HedgeQuantile:      0.95,
-		HedgeMinDelay:      5 * time.Millisecond,
-		HedgeMaxConcurrent: 8,
-		LatencyWindow:      512,
-		HealthInterval:     500 * time.Millisecond,
-		EjectAfter:         3,
+		Addr:             ":8090",
+		VNodesPerReplica: 64,
+		LoadFactor:       1.25,
+		MaxInflight:      32,
+		QueueDepth:       64,
+		QueueWait:        100 * time.Millisecond,
+		RequestTimeout:   15 * time.Second,
+		MaxAttempts:      3,
+		HealthInterval:   500 * time.Millisecond,
+		EjectAfter:       3,
 		Breaker: serve.BreakerConfig{
 			Window:         16,
 			MinSamples:     4,
@@ -128,7 +109,7 @@ func DefaultConfig() Config {
 }
 
 // Router is the fleet front end: consistent-hash routing with bounded
-// load, per-replica health + breaker gating, hedged requests, bounded
+// load, per-replica health + breaker gating, ring-order failover, bounded
 // admission, and cross-hop trace propagation.
 type Router struct {
 	cfg    Config
@@ -136,14 +117,11 @@ type Router struct {
 	reps   map[string]*Replica
 	ids    []string // configured membership, stable order
 	met    *Metrics
-	lat    *latWindow
 	slo    *slo.Engine
 	prof   *obs.Profiler
 	client *http.Client
 	tracer *obs.Tracer
 	log    *slog.Logger
-
-	hedgeSem chan struct{}
 
 	httpSrv  *http.Server
 	ln       net.Listener
@@ -176,15 +154,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.MaxAttempts < 1 {
 		cfg.MaxAttempts = 3
 	}
-	if cfg.HedgeQuantile <= 0 || cfg.HedgeQuantile >= 1 {
-		cfg.HedgeQuantile = 0.95
-	}
-	if cfg.HedgeMinDelay <= 0 {
-		cfg.HedgeMinDelay = 5 * time.Millisecond
-	}
-	if cfg.HedgeMaxConcurrent < 1 {
-		cfg.HedgeMaxConcurrent = 8
-	}
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = 500 * time.Millisecond
 	}
@@ -207,17 +176,15 @@ func New(cfg Config) (*Router, error) {
 		cfg.ScrapeTimeout = 2 * time.Second
 	}
 	rt := &Router{
-		cfg:      cfg,
-		ring:     NewRing(cfg.VNodesPerReplica),
-		reps:     make(map[string]*Replica, len(cfg.Replicas)),
-		met:      NewMetrics(cfg.Metrics),
-		lat:      newLatWindow(cfg.LatencyWindow),
-		slo:      cfg.SLO,
-		prof:     cfg.Profiler,
-		tracer:   cfg.Tracer,
-		log:      cfg.Logger,
-		hedgeSem: make(chan struct{}, cfg.HedgeMaxConcurrent),
-		stopc:    make(chan struct{}),
+		cfg:    cfg,
+		ring:   NewRing(cfg.VNodesPerReplica),
+		reps:   make(map[string]*Replica, len(cfg.Replicas)),
+		met:    NewMetrics(cfg.Metrics),
+		slo:    cfg.SLO,
+		prof:   cfg.Profiler,
+		tracer: cfg.Tracer,
+		log:    cfg.Logger,
+		stopc:  make(chan struct{}),
 	}
 	for _, raw := range cfg.Replicas {
 		id := strings.TrimRight(raw, "/")
@@ -331,7 +298,7 @@ const (
 	outcomeBackendErr  = "backend_error" // replica 5xx
 	outcomeTransport   = "transport"     // connection-level failure
 	outcomeTimeout     = "timeout"       // routed request deadline expired in flight
-	outcomeCanceled    = "canceled"      // context canceled (hedge loser or client gone)
+	outcomeCanceled    = "canceled"      // context canceled (client gone)
 )
 
 // attemptResult is one forward attempt's outcome.
@@ -342,7 +309,6 @@ type attemptResult struct {
 	body    []byte
 	outcome string
 	err     error
-	hedge   bool
 }
 
 // terminal reports whether the result should be returned to the client
@@ -355,17 +321,13 @@ func (a attemptResult) terminal() bool {
 	return false
 }
 
-// retryable is the complement of terminal for results that came from an
-// actual send.
-func (a attemptResult) retryable() bool { return !a.terminal() }
-
 // maxBodyBytes bounds both the client request body and the relayed
 // replica response body.
 const maxBodyBytes = 8 << 20
 
 // proxy is the shared /v1/recommend and /v1/recommend/batch front end:
 // read the body, derive the consistent-hash key from the insight
-// vector(s), and forward with failover + hedging.
+// vector(s), and forward with failover.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string) {
 	if r.Method != http.MethodPost {
 		rt.writeError(w, r, http.StatusMethodNotAllowed, "POST only")
@@ -423,9 +385,9 @@ type shedResult struct {
 }
 
 // forward routes one request: walk the ring order from the key's owner,
-// skipping unhealthy / breaker-open / overloaded replicas, hedging the
-// first attempt when it runs past the latency trigger, and failing over
-// across distinct replicas on retryable outcomes.
+// skipping unhealthy / breaker-open / overloaded replicas, and send to one
+// replica at a time on the handler goroutine, failing over across
+// distinct replicas on retryable outcomes.
 func (rt *Router) forward(ctx context.Context, path string, key uint64, body []byte) attemptResult {
 	order := rt.ring.Order(key, 0)
 	if len(order) == 0 {
@@ -451,7 +413,7 @@ func (rt *Router) forward(ctx context.Context, path string, key uint64, body []b
 		}
 		sent = true
 		tried[pk.rep.id] = true
-		res := rt.attemptWithHedge(ctx, pk, order, tried, path, traceID, body, a == 0)
+		res := rt.send(ctx, pk, path, traceID, body)
 		if res.terminal() {
 			return res
 		}
@@ -539,24 +501,6 @@ func (rt *Router) pick(order []string, tried map[string]bool, allowQueue bool, d
 	}
 }
 
-// pickHedge is pick without queueing, for the hedge leg: a distinct,
-// healthy, breaker-admitted replica with a free slot, or nil.
-func (rt *Router) pickHedge(order []string, tried map[string]bool) *picked {
-	for _, id := range order {
-		rep := rt.reps[id]
-		if tried[id] || !rep.healthy.Load() || !rep.tryAcquire() {
-			continue
-		}
-		adm, ok, _ := rep.allow()
-		if !ok {
-			rep.release()
-			continue
-		}
-		return &picked{rep: rep, adm: adm}
-	}
-	return nil
-}
-
 // loadLimit is the bounded-load cap: LoadFactor times the mean in-flight
 // per healthy replica, plus one so an idle fleet is never starved.
 func (rt *Router) loadLimit() int64 {
@@ -573,81 +517,10 @@ func (rt *Router) loadLimit() int64 {
 	return int64(rt.cfg.LoadFactor*float64(total)/float64(healthy)) + 1
 }
 
-// attemptWithHedge sends to the picked replica and, when the response
-// runs past the hedge trigger (and hedging is enabled for this attempt),
-// races a second replica: first usable response wins and the loser's
-// context is canceled. Hedges are capped by HedgeMaxConcurrent.
-func (rt *Router) attemptWithHedge(ctx context.Context, primary *picked, order []string, tried map[string]bool, path, traceID string, body []byte, mayHedge bool) attemptResult {
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	resc := make(chan attemptResult, 2)
-	go func() { resc <- rt.send(actx, primary, path, traceID, body, false) }()
-	if !mayHedge || rt.cfg.DisableHedging || len(order) < 2 {
-		return <-resc
-	}
-	timer := time.NewTimer(rt.hedgeDelay())
-	defer timer.Stop()
-	select {
-	case res := <-resc:
-		return res
-	case <-timer.C:
-	}
-	// The primary is slow past the trigger: race a hedge if the cap and a
-	// spare replica allow.
-	var hp *picked
-	select {
-	case rt.hedgeSem <- struct{}{}:
-		if hp = rt.pickHedge(order, tried); hp == nil {
-			<-rt.hedgeSem
-		}
-	default:
-	}
-	if hp == nil {
-		rt.met.ObserveHedge("denied")
-		return <-resc
-	}
-	tried[hp.rep.id] = true
-	rt.met.HedgeStarted()
-	go func() {
-		resc <- rt.send(actx, hp, path, traceID, body, true)
-		<-rt.hedgeSem
-		rt.met.HedgeFinished()
-	}()
-	first := <-resc
-	if first.retryable() {
-		// The first responder failed; the other leg is still live and may
-		// yet deliver.
-		second := <-resc
-		if second.retryable() {
-			rt.met.ObserveHedge("lost")
-			return first
-		}
-		first = second
-	} else {
-		cancel() // the loser's send classifies as canceled and releases
-	}
-	if first.hedge {
-		rt.met.ObserveHedge("won")
-	} else {
-		rt.met.ObserveHedge("lost")
-	}
-	return first
-}
-
-// hedgeDelay is the current hedge trigger: the latency window's
-// HedgeQuantile, floored at HedgeMinDelay.
-func (rt *Router) hedgeDelay() time.Duration {
-	d := rt.lat.Percentile(rt.cfg.HedgeQuantile)
-	if d < rt.cfg.HedgeMinDelay {
-		d = rt.cfg.HedgeMinDelay
-	}
-	return d
-}
-
 // send forwards the body to one replica, classifies the outcome, feeds
-// the replica's breaker and the hedge latency window, and releases the
-// admission slot. The X-Trace-Id header carries the trace across the hop.
-func (rt *Router) send(ctx context.Context, pk *picked, path, traceID string, body []byte, hedge bool) attemptResult {
+// the replica's breaker, and releases the admission slot. The X-Trace-Id
+// header carries the trace across the hop.
+func (rt *Router) send(ctx context.Context, pk *picked, path, traceID string, body []byte) attemptResult {
 	rep := pk.rep
 	defer func() {
 		rep.release()
@@ -656,10 +529,7 @@ func (rt *Router) send(ctx context.Context, pk *picked, path, traceID string, bo
 	rt.met.SetInflight(rep.id, rep.inflight.Load(), rep.queued.Load())
 	_, span := obs.StartSpan(ctx, "forward")
 	span.SetAttr("replica", rep.id)
-	if hedge {
-		span.SetAttr("hedge", "true")
-	}
-	res := attemptResult{replica: rep.id, hedge: hedge}
+	res := attemptResult{replica: rep.id}
 	t0 := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.id+path, bytes.NewReader(body))
 	if err != nil {
@@ -704,14 +574,11 @@ func (rt *Router) send(ctx context.Context, pk *picked, path, traceID string, bo
 	dur := time.Since(t0)
 	// Breaker classification: 2xx and non-429 4xx prove the replica is
 	// answering; 5xx, 503, transport failures, and deadline expiries are
-	// ill-health; 429 is load and hedge-loss cancels are our own doing —
-	// neither says anything about replica health.
+	// ill-health; 429 is load and a departed client's cancel is not the
+	// replica's doing — neither says anything about replica health.
 	switch res.outcome {
 	case outcomeOK, outcomeClientError:
 		rep.record(pk.adm, true)
-		if res.outcome == outcomeOK {
-			rt.lat.Add(dur)
-		}
 	case outcomeSaturated, outcomeCanceled:
 		rep.releaseAdmission(pk.adm)
 	default:
@@ -719,9 +586,9 @@ func (rt *Router) send(ctx context.Context, pk *picked, path, traceID string, bo
 	}
 	rt.met.ObserveForward(rep.id, res.outcome)
 	// Per-replica SLO scope: each forward's outcome lands under the
-	// replica that served (or failed) it. Cancels are the router's own
-	// doing (hedge losers, departed clients) and say nothing about the
-	// replica, so they are excluded — like 5xx on the latency SLI.
+	// replica that served (or failed) it. Cancels come from departed
+	// clients and say nothing about the replica, so they are excluded —
+	// like 5xx on the latency SLI.
 	if res.outcome != outcomeCanceled {
 		code := res.status
 		if code == 0 {
@@ -932,7 +799,7 @@ func (rt *Router) instrument(next http.Handler) http.Handler {
 		d := time.Since(startAt)
 		rt.met.ObserveRequestEx(route, sw.code, d, traceID)
 		// The aggregate scope sees the end-to-end outcome — what the
-		// client experienced after failover and hedging — so a recovered
+		// client experienced after failover — so a recovered
 		// forward failure does not burn the fleet-wide SLO.
 		if route == "/v1/recommend" || route == "/v1/recommend/batch" {
 			rt.slo.ObserveRequest(slo.AggregateScope, sw.code, d)

@@ -90,7 +90,6 @@ func TestRouterAffinity(t *testing.T) {
 		urls = append(urls, s.srv.URL)
 	}
 	cfg := DefaultConfig()
-	cfg.DisableHedging = true
 	rt := testRouter(t, cfg, urls...)
 	h := rt.Handler()
 
@@ -138,7 +137,6 @@ func TestRouterFailoverHidesBackendErrors(t *testing.T) {
 	defer good.srv.Close()
 
 	cfg := DefaultConfig()
-	cfg.DisableHedging = true
 	cfg.Breaker.MinSamples = 2
 	cfg.Breaker.Window = 4
 	rt := testRouter(t, cfg, bad.srv.URL, good.srv.URL)
@@ -180,7 +178,6 @@ func TestRouterShedsWhenSaturated(t *testing.T) {
 	defer slow.srv.Close()
 
 	cfg := DefaultConfig()
-	cfg.DisableHedging = true
 	cfg.MaxInflight = 1
 	cfg.QueueDepth = 0
 	cfg.QueueWait = 20 * time.Millisecond
@@ -217,12 +214,12 @@ func TestRouterShedsWhenSaturated(t *testing.T) {
 	}
 }
 
-func TestRouterHedgeWinsOverSlowPrimary(t *testing.T) {
+func TestRouterSlowOwnerIsNotDuplicated(t *testing.T) {
 	stall := 400 * time.Millisecond
 	var slowURL string
 	handler := func(w http.ResponseWriter, r *http.Request) {
 		// The replica that owns the key stalls; any other replica answers
-		// immediately, so a won hedge is the only way to a fast 200.
+		// immediately, so a second forward would be the fast way to a 200.
 		if "http://"+r.Host == slowURL {
 			select {
 			case <-r.Context().Done():
@@ -240,30 +237,47 @@ func TestRouterHedgeWinsOverSlowPrimary(t *testing.T) {
 		stubs = append(stubs, s)
 		urls = append(urls, s.srv.URL)
 	}
-	cfg := DefaultConfig()
-	cfg.HedgeMinDelay = 10 * time.Millisecond
-	rt := testRouter(t, cfg, urls...)
+	rt := testRouter(t, DefaultConfig(), urls...)
 	h := rt.Handler()
 
 	body := recommendBody(9, 9, 9)
 	slowURL = rt.Ring().Owner(routingKeyForTest(t, body))
 
-	t0 := time.Now()
+	// A slow owner is still a healthy owner: the request waits for it and
+	// is never raced against a second replica.
 	w := postRecommend(t, h, body)
-	dur := time.Since(t0)
 	if w.Code != http.StatusOK {
-		t.Fatalf("hedged request got %d: %s", w.Code, w.Body.String())
+		t.Fatalf("request got %d: %s", w.Code, w.Body.String())
 	}
-	if dur >= stall {
-		t.Fatalf("request took %v, want hedge to beat the %v stall", dur, stall)
+	if got := w.Header().Get("X-Fleet-Replica"); got != slowURL {
+		t.Fatalf("served by %q, want the stalled owner %q", got, slowURL)
 	}
-	if got := w.Header().Get("X-Fleet-Replica"); got == slowURL {
-		t.Fatalf("winning replica %q is the stalled owner", got)
+	for _, s := range stubs {
+		if s.srv.URL != slowURL {
+			if n := s.hits.Load(); n != 0 {
+				t.Fatalf("fast replica received %d requests, want 0", n)
+			}
+		}
 	}
 	expo := rt.Metrics().Registry().Exposition()
-	if !strings.Contains(expo, `insightalign_fleet_hedges_total{result="won"} 1`) {
-		t.Fatalf("hedge won metric not recorded:\n%s", expo)
+	if got := sumFamily(expo, "insightalign_fleet_forward_total"); got != 1 {
+		t.Fatalf("insightalign_fleet_forward_total sums to %v, want 1:\n%s", got, expo)
 	}
+}
+
+// sumFamily adds every sample of one metric family in an exposition.
+func sumFamily(expo, name string) float64 {
+	var sum float64
+	for _, line := range strings.Split(expo, "\n") {
+		if !strings.HasPrefix(line, name+"{") && !strings.HasPrefix(line, name+" ") {
+			continue
+		}
+		fields := strings.Fields(line)
+		var v float64
+		fmt.Sscanf(fields[len(fields)-1], "%g", &v)
+		sum += v
+	}
+	return sum
 }
 
 func routingKeyForTest(t *testing.T, body []byte) uint64 {
@@ -281,7 +295,6 @@ func TestRouterEjectsDeadReplicaFromRing(t *testing.T) {
 	defer live.srv.Close()
 
 	cfg := DefaultConfig()
-	cfg.DisableHedging = true
 	cfg.EjectAfter = 2
 	cfg.HealthTimeout = 200 * time.Millisecond
 	rt := testRouter(t, cfg, dead.srv.URL, live.srv.URL)
@@ -312,7 +325,6 @@ func TestRouterRejectsBadRequests(t *testing.T) {
 	s := newStubReplica(okRecommend)
 	defer s.srv.Close()
 	cfg := DefaultConfig()
-	cfg.DisableHedging = true
 	rt := testRouter(t, cfg, s.srv.URL)
 	h := rt.Handler()
 
@@ -337,7 +349,6 @@ func TestRouterHealthzAggregates(t *testing.T) {
 	b := newStubReplica(okRecommend)
 
 	cfg := DefaultConfig()
-	cfg.DisableHedging = true
 	rt := testRouter(t, cfg, a.srv.URL, b.srv.URL)
 	rt.PollHealthNow()
 
@@ -391,7 +402,6 @@ func TestRouterBatchRouting(t *testing.T) {
 		urls = append(urls, s.srv.URL)
 	}
 	cfg := DefaultConfig()
-	cfg.DisableHedging = true
 	rt := testRouter(t, cfg, urls...)
 
 	body, _ := json.Marshal(map[string]any{

@@ -139,23 +139,30 @@ func (j *Journal) rotateLocked() error {
 	return nil
 }
 
-// ReadJournal parses JSONL entries from r, skipping blank lines.
+// ReadJournal parses JSONL entries from r, skipping blank lines. On a bad
+// line it returns the entries before it and an error naming the line's
+// 1-based number in r (blank lines count).
 func ReadJournal(r io.Reader) ([]Entry, error) {
 	var out []Entry
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
+	n := 0
 	for sc.Scan() {
+		n++
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
 		var e Entry
 		if err := json.Unmarshal(line, &e); err != nil {
-			return out, fmt.Errorf("obs: journal line %d: %w", len(out)+1, err)
+			return out, fmt.Errorf("obs: journal line %d: %w", n, err)
 		}
 		out = append(out, e)
 	}
-	return out, sc.Err()
+	if err := sc.Err(); err != nil {
+		return out, fmt.Errorf("obs: journal line %d: %w", n+1, err)
+	}
+	return out, nil
 }
 
 // journalReadGapHook, when non-nil, runs between reading the rotated

@@ -108,9 +108,10 @@ func TestKernelsMatchTapeOps(t *testing.T) {
 		assertBitEqual(t, "ScaleInPlace", gotScale, wantScale.Data)
 	})
 
-	// CausalAttendInto against a literal transcription of StepSelf's
-	// per-sequence inner loop (cache append, zero-skip score dots, fused
-	// max, exp/sum softmax, w==0-skip value accumulation).
+	// CausalAttendInto against a literal transcription of the causal
+	// self-attention step that nn.FlatDecoderLayer.StepFlat runs, per
+	// sequence (cache append, zero-skip score dots, fused max, exp/sum
+	// softmax, w==0-skip value accumulation).
 	t.Run("CausalAttendInto", func(t *testing.T) {
 		dim, maxLen := 16, 12
 		scale := 1 / math.Sqrt(float64(dim))
