@@ -172,6 +172,7 @@ func BenchmarkFlowRun(b *testing.B) {
 	fixtures(b)
 	runner := flow.NewRunner(fixNL)
 	p := flow.DefaultParams()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := runner.Run(p, int64(i)); err != nil {

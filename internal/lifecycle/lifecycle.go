@@ -708,7 +708,10 @@ func (c *Controller) Rollback(reason string) error {
 // against the journaled version tag, and the phase re-enters with fresh
 // stats (a canary resumes its exact fingerprint slice — the salt derives
 // from the hash). Quarantined hashes are restored from rolled_back
-// entries so a rejected candidate stays rejected across restarts.
+// entries so a rejected candidate stays rejected across restarts, and an
+// open candidate whose hash is quarantined is rejected, as Submit would,
+// rather than restored. A journal with a bad line fails closed: Resume
+// returns the read error and restores nothing.
 // Call once, after New and before serving traffic.
 func (c *Controller) Resume() error {
 	if c.cfg.Journal == nil {
@@ -758,6 +761,13 @@ func (c *Controller) Resume() error {
 	}
 	if open == nil || c.cand != nil {
 		return nil
+	}
+	if h, ok := strings.CutPrefix(open.version, "cand-"); ok {
+		if reason, bad := c.quarantined[h]; bad {
+			c.recordLocked(EventData{Action: "rejected", Version: open.version, Path: open.path,
+				Reason: "quarantined: " + reason})
+			return nil
+		}
 	}
 	cand, err := c.cfg.Registry.LoadCandidate(open.path)
 	if err != nil {

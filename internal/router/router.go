@@ -94,13 +94,16 @@ type segment struct {
 	horiz     bool
 }
 
-// route is the list of segments of one two-pin connection.
+// route is the path of one two-pin connection. It is a fixed value, not a
+// slice, so candidates are built and scored without allocating: an L route
+// has at most two segments and a Z route at most three.
 type route struct {
-	segs []segment
+	seg [3]segment
+	n   int
 }
 
-func (g *grid) apply(r route, delta int) {
-	for _, s := range r.segs {
+func (g *grid) apply(r *route, delta int) {
+	for _, s := range r.seg[:r.n] {
 		x, y := s.x, s.y
 		for i := 0; i < s.len; i++ {
 			if s.horiz {
@@ -115,9 +118,9 @@ func (g *grid) apply(r route, delta int) {
 }
 
 // cost computes the congestion-aware cost of a route.
-func (g *grid) cost(r route, congWeight float64) float64 {
+func (g *grid) cost(r *route, congWeight float64) float64 {
 	c := 0.0
-	for _, s := range r.segs {
+	for _, s := range r.seg[:r.n] {
 		x, y := s.x, s.y
 		for i := 0; i < s.len; i++ {
 			var use int
@@ -139,56 +142,61 @@ func (g *grid) cost(r route, congWeight float64) float64 {
 	return c
 }
 
-// lRoute builds one of the two L-shaped routes between bins.
-func lRoute(x1, y1, x2, y2 int, horizFirst bool) route {
-	var r route
-	addH := func(xa, xb, y int) {
-		if xa == xb {
-			return
-		}
-		if xa > xb {
-			xa, xb = xb, xa
-		}
-		r.segs = append(r.segs, segment{x: xa, y: y, len: xb - xa, horiz: true})
+func (r *route) addH(xa, xb, y int) {
+	if xa == xb {
+		return
 	}
-	addV := func(ya, yb, x int) {
-		if ya == yb {
-			return
-		}
-		if ya > yb {
-			ya, yb = yb, ya
-		}
-		r.segs = append(r.segs, segment{x: x, y: ya, len: yb - ya, horiz: false})
+	if xa > xb {
+		xa, xb = xb, xa
 	}
-	if horizFirst {
-		addH(x1, x2, y1)
-		addV(y1, y2, x2)
-	} else {
-		addV(y1, y2, x1)
-		addH(x1, x2, y2)
-	}
-	return r
+	r.seg[r.n] = segment{x: xa, y: y, len: xb - xa, horiz: true}
+	r.n++
 }
 
-// zRoute builds a Z-shaped detour through intermediate column/row m.
-func zRoute(x1, y1, x2, y2, m int, horizFirst bool) route {
-	var r route
+func (r *route) addV(ya, yb, x int) {
+	if ya == yb {
+		return
+	}
+	if ya > yb {
+		ya, yb = yb, ya
+	}
+	r.seg[r.n] = segment{x: x, y: ya, len: yb - ya, horiz: false}
+	r.n++
+}
+
+// addL appends the segments of one of the two L-shaped routes between bins.
+func (r *route) addL(x1, y1, x2, y2 int, horizFirst bool) {
+	if horizFirst {
+		r.addH(x1, x2, y1)
+		r.addV(y1, y2, x2)
+	} else {
+		r.addV(y1, y2, x1)
+		r.addH(x1, x2, y2)
+	}
+}
+
+// setL makes r one of the two L-shaped routes between bins.
+func (r *route) setL(x1, y1, x2, y2 int, horizFirst bool) {
+	r.n = 0
+	r.addL(x1, y1, x2, y2, horizFirst)
+}
+
+// setZ makes r a Z-shaped detour through intermediate column/row m.
+func (r *route) setZ(x1, y1, x2, y2, m int, horizFirst bool) {
+	r.n = 0
 	if horizFirst {
 		// x1→m at y1, y1→y2 at m, m→x2 at y2.
-		a := lRoute(x1, y1, m, y2, true)
-		b := lRoute(m, y2, x2, y2, true)
-		r.segs = append(a.segs, b.segs...)
+		r.addL(x1, y1, m, y2, true)
+		r.addL(m, y2, x2, y2, true)
 	} else {
-		a := lRoute(x1, y1, x2, m, false)
-		b := lRoute(x2, m, x2, y2, false)
-		r.segs = append(a.segs, b.segs...)
+		r.addL(x1, y1, x2, m, false)
+		r.addL(x2, m, x2, y2, false)
 	}
-	return r
 }
 
-func (r route) length() int {
+func (r *route) length() int {
 	n := 0
-	for _, s := range r.segs {
+	for _, s := range r.seg[:r.n] {
 		n += s.len
 	}
 	return n
@@ -235,68 +243,82 @@ func routeImpl(nl *netlist.Netlist, pl *placer.Result, opt Options) (*Result, *g
 	g := newGrid(pl.BinsX, pl.BinsY, cap)
 
 	// Build two-pin connections (star model per net).
-	var conns []*conn
+	n := 0
+	for id := range nl.Cells {
+		n += len(nl.Cells[id].Fanouts)
+	}
+	conns := make([]conn, 0, n)
 	for id := range nl.Cells {
 		for _, s := range nl.Cells[id].Fanouts {
 			x1, y1 := pl.BinOf(pl.X[id], pl.Y[id])
 			x2, y2 := pl.BinOf(pl.X[s], pl.Y[s])
-			conns = append(conns, &conn{driver: id, sink: s, x1: x1, y1: y1, x2: x2, y2: y2})
+			conns = append(conns, conn{driver: id, sink: s, x1: x1, y1: y1, x2: x2, y2: y2})
 		}
 	}
 
 	// Initial pass: best of the two L-shapes.
-	for _, c := range conns {
-		a := lRoute(c.x1, c.y1, c.x2, c.y2, true)
-		b := lRoute(c.x1, c.y1, c.x2, c.y2, false)
-		ca := g.cost(a, opt.CongestionWeight)
-		cb := g.cost(b, opt.CongestionWeight)
+	var a, b route
+	for i := range conns {
+		c := &conns[i]
+		a.setL(c.x1, c.y1, c.x2, c.y2, true)
+		b.setL(c.x1, c.y1, c.x2, c.y2, false)
+		ca := g.cost(&a, opt.CongestionWeight)
+		cb := g.cost(&b, opt.CongestionWeight)
 		if ca < cb || (ca == cb && rng.Intn(2) == 0) {
 			c.r = a
 		} else {
 			c.r = b
 		}
-		g.apply(c.r, 1)
+		g.apply(&c.r, 1)
 	}
 
-	// Rip-up and reroute nets crossing overflowed edges.
+	// Rip-up and reroute nets crossing overflowed edges. Each candidate is
+	// built in place in cand, scored, and copied into best only if it wins.
+	var cand route
 	for it := 0; it < opt.Iterations; it++ {
 		if g.totalOverflow() == 0 {
 			break
 		}
-		for _, c := range conns {
-			if !g.crossesOverflow(c.r) {
+		for i := range conns {
+			c := &conns[i]
+			if !g.crossesOverflow(&c.r) {
 				continue
 			}
-			g.apply(c.r, -1)
+			g.apply(&c.r, -1)
 			best := c.r
-			bestCost := g.cost(c.r, opt.CongestionWeight)
+			bestCost := g.cost(&c.r, opt.CongestionWeight)
 			bestDetour := c.detoured
-			try := func(r route, detoured bool) {
-				cost := g.cost(r, opt.CongestionWeight) +
-					opt.DetourPenalty*float64(r.length()-manhattan(c.x1, c.y1, c.x2, c.y2))
+			direct := manhattan(c.x1, c.y1, c.x2, c.y2)
+			try := func(detoured bool) {
+				cost := g.cost(&cand, opt.CongestionWeight) +
+					opt.DetourPenalty*float64(cand.length()-direct)
 				if cost < bestCost {
-					best, bestCost, bestDetour = r, cost, detoured
+					best, bestCost, bestDetour = cand, cost, detoured
 				}
 			}
-			try(lRoute(c.x1, c.y1, c.x2, c.y2, true), false)
-			try(lRoute(c.x1, c.y1, c.x2, c.y2, false), false)
+			cand.setL(c.x1, c.y1, c.x2, c.y2, true)
+			try(false)
+			cand.setL(c.x1, c.y1, c.x2, c.y2, false)
+			try(false)
 			lo, hi := minInt(c.x1, c.x2)-opt.Expansion, maxInt(c.x1, c.x2)+opt.Expansion
 			for m := lo; m <= hi; m++ {
 				if m < 0 || m >= g.bx || m == c.x1 || m == c.x2 {
 					continue
 				}
-				try(zRoute(c.x1, c.y1, c.x2, c.y2, m, true), true)
+				cand.setZ(c.x1, c.y1, c.x2, c.y2, m, true)
+				try(true)
 			}
 			lo, hi = minInt(c.y1, c.y2)-opt.Expansion, maxInt(c.y1, c.y2)+opt.Expansion
 			for m := lo; m <= hi; m++ {
 				if m < 0 || m >= g.by || m == c.y1 || m == c.y2 {
 					continue
 				}
-				try(zRoute(c.x1, c.y1, c.x2, c.y2, m, false), true)
+				cand.setZ(c.x1, c.y1, c.x2, c.y2, m, false)
+				try(true)
 			}
 			c.r = best
 			c.detoured = bestDetour
-			g.apply(c.r, 1)
+			g.apply(&c.r, 1)
 		}
 	}
 
@@ -352,8 +374,8 @@ func (g *grid) totalOverflow() int {
 	return t
 }
 
-func (g *grid) crossesOverflow(r route) bool {
-	for _, s := range r.segs {
+func (g *grid) crossesOverflow(r *route) bool {
+	for _, s := range r.seg[:r.n] {
 		x, y := s.x, s.y
 		for i := 0; i < s.len; i++ {
 			if s.horiz {

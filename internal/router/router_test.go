@@ -134,11 +134,12 @@ func TestValidation(t *testing.T) {
 }
 
 func TestLRouteGeometry(t *testing.T) {
-	r := lRoute(0, 0, 3, 2, true)
+	var r route
+	r.setL(0, 0, 3, 2, true)
 	if r.length() != 5 {
 		t.Fatalf("L route length = %d, want 5", r.length())
 	}
-	r = lRoute(2, 2, 2, 2, false)
+	r.setL(2, 2, 2, 2, false)
 	if r.length() != 0 {
 		t.Fatalf("degenerate L route length = %d, want 0", r.length())
 	}
@@ -146,11 +147,13 @@ func TestLRouteGeometry(t *testing.T) {
 
 func TestZRouteGeometry(t *testing.T) {
 	// 0,0 → 4,0 via column 2 should still have length >= manhattan.
-	r := zRoute(0, 0, 4, 0, 2, true)
+	var r route
+	r.setZ(0, 0, 4, 0, 2, true)
 	if r.length() < 4 {
 		t.Fatalf("Z route shorter than manhattan: %d", r.length())
 	}
-	r2 := zRoute(0, 0, 0, 4, 2, false)
+	var r2 route
+	r2.setZ(0, 0, 0, 4, 2, false)
 	if r2.length() < 4 {
 		t.Fatalf("vertical Z route shorter than manhattan: %d", r2.length())
 	}
@@ -158,20 +161,21 @@ func TestZRouteGeometry(t *testing.T) {
 
 func TestGridApplyAndOverflow(t *testing.T) {
 	g := newGrid(4, 4, 2)
-	r := lRoute(0, 0, 3, 0, true)
-	g.apply(r, 1)
-	g.apply(r, 1)
+	var r route
+	r.setL(0, 0, 3, 0, true)
+	g.apply(&r, 1)
+	g.apply(&r, 1)
 	if g.totalOverflow() != 0 {
 		t.Fatal("at capacity is not overflow")
 	}
-	g.apply(r, 1)
+	g.apply(&r, 1)
 	if g.totalOverflow() != 3 {
 		t.Fatalf("overflow = %d, want 3 (three edges, one over each)", g.totalOverflow())
 	}
-	if !g.crossesOverflow(r) {
+	if !g.crossesOverflow(&r) {
 		t.Fatal("route should cross overflow")
 	}
-	g.apply(r, -1)
+	g.apply(&r, -1)
 	if g.totalOverflow() != 0 {
 		t.Fatal("rip-up should clear overflow")
 	}
